@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -215,9 +214,7 @@ def cmd_enumerate(args) -> int:
     movement = _movement(args)
     cfg = SearchConfig(args.horizon, scheduler, movement)
     dist = rational(args.dist)
-    graphs = list(enumerate_graphs(args.colors, labels))
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        rows = list(pool.map(lambda iv: _survey_row(iv[0], iv[1], cfg, dist), enumerate(graphs)))
+    rows = [_survey_row(i, g, cfg, dist) for i, g in enumerate(enumerate_graphs(args.colors, labels))]
     header = "index,edges,sccs,selfloops,twocycles,missing_labels,verdicts"
     _emit("\n".join([header] + rows) + "\n", args.out)
     inconclusive = sum(row.count("inconclusive") for row in rows)
@@ -285,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", default="0,1/2,1", help="comma-separated rational labels")
     p.add_argument("--force", action="store_true", help="allow oversized enumerations")
     p.add_argument("--limit", type=int, default=1000, help="row limit guarded by --force")
-    p.add_argument("--workers", type=int, default=4)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("replay", help="replay a published counterexample schedule")

@@ -210,37 +210,19 @@ _NEXT_PHASE = {
     ("moving", OP_ME): "idle",
 }
 
-# Minimum time gap required before each op, relative to the previous op.
-# Comp effects land at t+1, so a move cannot begin at the Comp time itself;
-# an atomic M at t implies its end at t+1, so the next Look waits until t+1.
-_MIN_GAP = {
-    OP_COMP: 1,
-    OP_MB: 1,
-    OP_M: 1,
-    OP_ME: 1,
-    OP_LOOK: 1,
-    OP_LC: 1,
-}
 
-
+# No spacing check is needed: a Schedule's times strictly increase, so one
+# robot's ops are at least the one tick apart that Comp and M effects need.
 def _check_pattern(slots: list[Slot], robot: int) -> list[Violation]:
-    problems = []
     phase = "idle"
-    prev: tuple[int, str] | None = None
     for t, op in _robot_ops(slots, robot):
         key = (phase, op)
         if key not in _NEXT_PHASE:
-            problems.append(
+            return [
                 Violation("cycle-order", robot, (t,), f"robot {robot}: op {op} illegal in phase {phase} at t={t}")
-            )
-            return problems
-        if prev is not None and t - prev[0] < _MIN_GAP[op]:
-            problems.append(
-                Violation("spacing", robot, (prev[0], t), f"robot {robot}: {op} at t={t} too soon after {prev[1]} at t={prev[0]}")
-            )
+            ]
         phase = _NEXT_PHASE[key]
-        prev = (t, op)
-    return problems
+    return []
 
 
 def _windows(slots: list[Slot], robot: int, begin_op: str, end_op: str) -> list[tuple[int, int]]:
@@ -294,16 +276,14 @@ def _check_rounds(slots: list[Slot], cls: SchedulerClass) -> list[Violation]:
 def check_legal(s: Schedule, cls: SchedulerClass, periods: int = 3) -> list[Violation]:
     """Structural legality of a schedule under a scheduler class.
 
-    Returns the list of violations (empty means legal): per-robot cycle order
-    and spacing, atomic-op permissions, no foreign Look strictly inside a
+    Returns the list of violations (empty means legal): per-robot cycle order,
+    atomic-op permissions, no foreign Look strictly inside a
     Look..Comp window (LC-atomic) or an MB..ME window (Move-atomic), and round
     structure for FSYNC/SSYNC.  Loops are checked over a few unrolled periods,
     which covers every window shape a longer unrolling can produce.
     """
     if s.loop is not None:
         limit = (s.prefix[-1].time if s.prefix else 0) + periods * s.loop.period
-        if s.horizon is not None:
-            limit = min(limit, max(s.horizon, limit))
     else:
         limit = s.prefix[-1].time if s.prefix else 0
     slots = list(s.unroll(horizon=limit))

@@ -13,6 +13,13 @@ graph is explored to a depth bound, and the verdict comes from a fairness
 analysis of its strongly connected components: a cycle in which both robots
 complete cycles is a fair non-terminating execution, while a closed graph
 without such a cycle sends every fair execution to rendezvous.
+
+At the search level a round has one step function, `_step`: the search
+expands states with it, certificate extraction re-walks a fair cycle with
+it, and the missing-label adversaries play their rounds with it.  The engine
+(`run`) stays the reference semantics: every certificate is validated by
+replaying its block through the engine, so a search step that ever disagreed
+with the engine would lose a certificate, never forge one.
 """
 
 from __future__ import annotations
@@ -392,13 +399,22 @@ _State = tuple[tuple[str, str], tuple[Fraction | None, Fraction | None], tuple[F
 
 
 def _is_rendezvous_state(state: _State) -> bool:
-    lights, pendings, positions = state
-    if positions[0] != positions[1]:
-        return False
-    return all(p is None or p == positions[i] for i, p in enumerate(pendings))
+    _lights, pendings, positions = state
+    return positions[0] == positions[1] and all(p is None or p == positions[0] for p in pendings)
 
 
-def _canonical_key(state: _State, movement: MovementModel):
+def _key_movement(g: LightGraph, movement: MovementModel) -> MovementModel | None:
+    """The movement model `_canonical_key` may normalise distances by, decided
+    once per search.  Rigid states are free of scale.  A non-rigid state whose
+    span is at most delta behaves the same at any such span only while no move
+    can leave the span, which holds when every label lies in [0, 1]; with any
+    other label keys keep their scale (None)."""
+    if movement.kind == RIGID or all(0 <= lam <= 1 for lam in g.labels()):
+        return movement
+    return None
+
+
+def _canonical_key(state: _State, movement: MovementModel | None):
     lights, pendings, positions = state
     base = positions[0]
     pos1 = positions[1] - base
@@ -414,14 +430,15 @@ def _canonical_key(state: _State, movement: MovementModel):
     everything = [Fraction(0), pos1] + [p for p in pend if p is not None]
     span = max(everything) - min(everything)
     scale = Fraction(1)
-    if movement.kind == RIGID:
+    if movement is None:
+        pass
+    elif movement.kind == RIGID:
         if pos1 > 0:
             scale = 1 / pos1
         elif span > 0:
             scale = 1 / span
-    else:
-        if 0 < span <= movement.delta:
-            scale = movement.delta / span
+    elif 0 < span <= movement.delta:
+        scale = movement.delta / span
     pos1 *= scale
     pend = [None if p is None else p * scale for p in pend]
 
@@ -431,9 +448,62 @@ def _canonical_key(state: _State, movement: MovementModel):
     return (lights, enc(pend[0]), enc(pend[1]), enc(pos1))
 
 
+def _step(state: _State, g: LightGraph, cfg: SearchConfig, frac_of: dict):
+    """One adversary choice at the next time instant: the robots keyed in
+    `frac_of` act, each move stopped by its fraction (None is a full move).
+
+    Under FSYNC/SSYNC an actor runs a whole round, an LC row then, if it
+    moves, an M row.  Under the LC-atomic asynchronous class an idle actor
+    performs LC and a robot with a pending destination performs its M.
+    Returns (slots, completions, child_state), slots as (ops, fractions) rows.
+    """
+    lights, pendings, positions = state
+    rounds = cfg.scheduler.kind in (FSYNC, SSYNC)
+    new_lights = list(lights)
+    new_pend = list(pendings)
+    new_pos = list(positions)
+    completions = set()
+    ops = [OP_NONE, OP_NONE]
+    move_row = [OP_NONE, OP_NONE]
+    move_fracs: list[Fraction | None] = [None, None]
+    for i, frac in frac_of.items():
+        if rounds or pendings[i] is None:
+            nl, lam = transition(g, lights[1 - i])
+            new_lights[i] = nl
+            ops[i] = OP_LC
+            dest = destination(positions[i], positions[1 - i], lam)
+            if dest == positions[i]:
+                completions.add(i)
+                continue
+            if not rounds:
+                new_pend[i] = dest
+                continue
+        else:
+            dest, new_pend[i] = pendings[i], None
+        # a full move lands on its destination under either movement model
+        new_pos[i] = dest if frac is None else truncate_move(positions[i], dest, cfg.movement, frac)
+        (move_row if rounds else ops)[i] = OP_M
+        move_fracs[i] = frac
+        completions.add(i)
+    if not rounds:
+        slots = [(tuple(ops), tuple(move_fracs))]
+    else:
+        slots = [(tuple(ops), (None, None))]
+        if move_row != [OP_NONE, OP_NONE]:
+            slots.append((tuple(move_row), tuple(move_fracs)))
+    child = (tuple(new_lights), tuple(new_pend), tuple(new_pos))
+    return slots, frozenset(completions), child
+
+
+def _timed(rows) -> tuple[Slot, ...]:
+    """Slots at times 1, 2, ... from `_step`'s (ops, fractions) rows."""
+    return tuple(Slot(t, ops, fracs) for t, (ops, fracs) in enumerate(rows, 1))
+
+
 def _search_children(state: _State, g: LightGraph, cfg: SearchConfig):
-    """Yield (slots, completions, child_state) for every adversary choice at
-    the next time instant."""
+    """Yield `_step`'s (slots, completions, child_state) for every adversary
+    choice at the next time instant: every actor set, and every fraction
+    choice for each actor whose non-rigid move is longer than delta."""
     lights, pendings, positions = state
     rounds = cfg.scheduler.kind in (FSYNC, SSYNC)
     if cfg.scheduler.kind == FSYNC:
@@ -442,69 +512,21 @@ def _search_children(state: _State, g: LightGraph, cfg: SearchConfig):
         actor_sets = [(0,), (1,), (0, 1)]
 
     for actors in actor_sets:
-        # per-actor fraction choices for any move this instant
         per_actor_fracs = []
         for i in actors:
             if rounds:
-                other = 1 - i
-                _nl, lam = transition(g, lights[other])
-                dest = destination(positions[i], positions[other], lam)
-                moving = dest != positions[i]
+                _nl, lam = transition(g, lights[1 - i])
+                target = destination(positions[i], positions[1 - i], lam)
             else:
-                moving = pendings[i] is not None
-            if not moving or cfg.movement.kind == RIGID:
-                per_actor_fracs.append((Fraction(1),))
-            else:
-                target = dest if rounds else pendings[i]
-                if abs(target - positions[i]) <= cfg.movement.delta:
-                    per_actor_fracs.append((Fraction(1),))
-                else:
-                    per_actor_fracs.append(tuple(cfg.fraction_choices))
+                target = pendings[i]
+            long_move = (
+                cfg.movement.kind != RIGID
+                and target is not None
+                and abs(target - positions[i]) > cfg.movement.delta
+            )
+            per_actor_fracs.append(tuple(cfg.fraction_choices) if long_move else (Fraction(1),))
         for fracs in product(*per_actor_fracs):
-            frac_of = dict(zip(actors, fracs))
-            new_lights = list(lights)
-            new_pend = list(pendings)
-            new_pos = list(positions)
-            completions = set()
-            ops = [OP_NONE, OP_NONE]
-            move_row = [OP_NONE, OP_NONE]
-            move_fracs: list[Fraction | None] = [None, None]
-            for i in actors:
-                other = 1 - i
-                if rounds or pendings[i] is None:
-                    seen_c, seen_p = lights[other], positions[other]
-                    nl, lam = transition(g, seen_c)
-                    dest = destination(positions[i], seen_p, lam)
-                    new_lights[i] = nl
-                    ops[i] = OP_LC
-                    if rounds:
-                        if dest != positions[i]:
-                            new_pos[i] = truncate_move(
-                                positions[i], dest, cfg.movement, frac_of[i]
-                            )
-                            move_row[i] = OP_M
-                            move_fracs[i] = frac_of[i]
-                        completions.add(i)
-                    elif dest == positions[i]:
-                        completions.add(i)
-                    else:
-                        new_pend[i] = dest
-                else:
-                    land = truncate_move(positions[i], pendings[i], cfg.movement, frac_of[i])
-                    new_pos[i] = land
-                    new_pend[i] = None
-                    ops[i] = OP_M
-                    move_fracs[i] = frac_of[i]
-                    completions.add(i)
-            if rounds:
-                slots = [(tuple(ops), (None, None))]
-                if move_row != [OP_NONE, OP_NONE]:
-                    slots.append((tuple(move_row), tuple(move_fracs)))
-            else:
-                frow = tuple(move_fracs[i] if ops[i] == OP_M else None for i in ROBOTS)
-                slots = [(tuple(ops), frow)]
-            child = (tuple(new_lights), tuple(new_pend), tuple(new_pos))
-            yield slots, frozenset(completions), child
+            yield _step(state, g, cfg, dict(zip(actors, fracs)))
 
 
 @dataclass
@@ -524,14 +546,15 @@ class SearchGraph:
         self.g = g
         self.cfg = cfg
         self.nodes: dict = {}
-        self.root = _canonical_key(initial, cfg.movement)
+        self.capped = False  # set when exploration stops at cfg.max_states
         self._explore(initial)
 
     def _explore(self, initial: _State) -> None:
         cfg = self.cfg
-        root_key = _canonical_key(initial, cfg.movement)
-        self.nodes[root_key] = _Node(0, initial, 0, _is_rendezvous_state(initial))
-        frontier = [root_key]
+        key_movement = _key_movement(self.g, cfg.movement)
+        self.root = _canonical_key(initial, key_movement)
+        self.nodes[self.root] = _Node(0, initial, 0, _is_rendezvous_state(initial))
+        frontier = [self.root]
         while frontier:
             next_frontier = []
             for key in frontier:
@@ -539,10 +562,11 @@ class SearchGraph:
                 if node.rendezvous or node.depth >= cfg.horizon:
                     continue
                 if len(self.nodes) > cfg.max_states:
+                    self.capped = True
                     return
                 node.expanded = True
                 for slots, completions, child in _search_children(node.rep, self.g, cfg):
-                    ckey = _canonical_key(child, cfg.movement)
+                    ckey = _canonical_key(child, key_movement)
                     if ckey not in self.nodes:
                         self.nodes[ckey] = _Node(
                             len(self.nodes), child, node.depth + 1, _is_rendezvous_state(child)
@@ -625,6 +649,16 @@ class SearchGraph:
     # -- certificate extraction ---------------------------------------------
 
     def certificate_from_scc(self, comp: list) -> ScalingLoopCertificate | None:
+        """A certificate from the shortest closed walk, through the earliest
+        clean member of `comp`, on which both robots complete a cycle.
+
+        The walk joins canonical states, so it is re-walked concretely from
+        the member's state with `_search_children`, each time following the
+        child whose slots are the walk's; the end state gives the ratio.
+        `validate_certificate` then replays the block through the engine, so
+        a search step that disagreed with the engine would reject the
+        certificate, never accept a wrong one.
+        """
         members = set(comp)
         clean = [
             k
@@ -636,67 +670,43 @@ class SearchGraph:
             return None
         n0 = min(clean, key=lambda k: self.nodes[k].index)
         # shortest closed walk from n0 back to n0 collecting both completions
-        start = (n0, frozenset())
+        start, goal = (n0, frozenset()), (n0, frozenset(ROBOTS))
         parents: dict = {start: None}
         queue = [start]
-        goal = None
-        while queue and goal is None:
+        while queue and goal not in parents:
             nxt = []
             for cur in queue:
                 key, flags = cur
                 for slots, completions, child in self.nodes[key].edges:
-                    if child not in members:
-                        continue
                     new = (child, flags | completions)
-                    if new == (n0, frozenset({0, 1})):
-                        parents[new] = (cur, slots)
-                        goal = new
-                        break
-                    if new not in parents:
+                    if child in members and new not in parents:
                         parents[new] = (cur, slots)
                         nxt.append(new)
-                if goal:
-                    break
             queue = nxt
-        if goal is None:
+        if goal not in parents:
             return None
-        rows = []
+        path = []
         node = goal
         while parents[node] is not None:
-            prev, slots = parents[node]
-            rows = list(slots) + rows
-            node = prev
-        slot_objs = []
-        t = 1
-        for ops, fracs in rows:
-            slot_objs.append(Slot(t, ops, fracs))
-            t += 1
-        rep = self.nodes[n0].rep
-        entry = (rep[0][0], rep[0][1])
+            node, slots = parents[node]
+            path.append(slots)
+        path.reverse()
+        rep = state = self.nodes[n0].rep
+        for slots in path:
+            children = _search_children(state, self.g, self.cfg)
+            state = next((child for s, _c, child in children if s == slots), None)
+            if state is None:
+                return None
+        rows = [row for slots in path for row in slots]
         d0 = abs(rep[2][1] - rep[2][0])
-        blk = tuple(slot_objs)
-        trace = run(
-            self.g,
-            Schedule(prefix=blk),
-            entry,
-            d0,
-            self.cfg.scheduler,
-            self.cfg.movement,
-            stop_at_rendezvous=True,
-        )
-        if trace.rendezvous_time is not None:
-            return None
-        end = trace.configuration_at(trace.end_time)
-        if end.pair != entry or end.d > d0 or end.d == 0:
-            return None
         cert = ScalingLoopCertificate(
             graph=self.g,
             scheduler=self.cfg.scheduler,
             movement=self.cfg.movement,
-            entry_colors=entry,
+            entry_colors=rep[0],
             entry_distance=d0,
-            schedule_block=blk,
-            ratio=end.d / d0,
+            schedule_block=_timed(rows),
+            ratio=abs(state[2][1] - state[2][0]) / d0,
             swap=False,
         )
         try:
@@ -716,6 +726,8 @@ def _search_core(g: LightGraph, cfg: SearchConfig, colors: tuple[str, str], dist
         if cert is not None:
             return Diverges(cert)
         return Inconclusive(cfg.horizon, "fair loop found but no clean certificate entry")
+    if graph.capped:
+        return Inconclusive(cfg.horizon, f"open branches remain; state cap of {cfg.max_states} reached")
     if graph.open_frontier():
         return Inconclusive(cfg.horizon, "open branches remain; horizon too small")
     return Rendezvous(cfg.horizon)
@@ -847,11 +859,10 @@ def structural_check(g: LightGraph) -> StructuralReport:
     return StructuralReport(frozenset(g.labels()), per_start)
 
 
-def _ssync_round_rows(movers_ops: tuple[str, str], move_ops: tuple[str, str]):
-    rows = [movers_ops]
-    if move_ops != (OP_NONE, OP_NONE):
-        rows.append(move_ops)
-    return rows
+# the missing-label adversaries play SSYNC rounds under rigid movement; only
+# the step semantics of this config are used, the adversary's own horizon
+# bounds its rounds
+_ADVERSARY_CFG = SearchConfig(1, SchedulerClass.ssync(), MovementModel.rigid())
 
 
 def missing_label_adversary(
@@ -864,46 +875,30 @@ def missing_label_adversary(
     single activations; no robot can ever land on the other.  Missing 0:
     alternate, but activate both robots in any round whose mover would follow
     a full-jump edge, so the jump is always answered by a departure.
+
+    The adversary is a policy over the search's step function: each round it
+    picks the actor set and plays it with `_step` (rigid moves, so the move
+    fractions stay unset), stopping at rendezvous.  The engine then runs the
+    schedule once to produce the returned trace and look for a certificate,
+    which `detect_scaling_loop` validates by replay.
     """
-    scheduler = SchedulerClass.ssync()
-    movement = MovementModel.rigid()
-    lights = [start, start]
-    positions = [Fraction(0), rational(distance)]
+    state: _State = ((start, start), (None, None), (Fraction(0), rational(distance)))
     rows: list[tuple] = []
-    fracs: list[tuple] = []
     parity = 0
     for _round in range(horizon):
         if missing == Fraction(1, 2):
             actors = (0, 1)
         else:
-            i = parity
-            _nl, lam = transition(g, lights[1 - i])
-            if missing == Fraction(0) and lam == 1:
-                actors = (0, 1)
-            else:
-                actors = (i,)
+            _nl, lam = transition(g, state[0][1 - parity])
+            actors = (0, 1) if missing == Fraction(0) and lam == 1 else (parity,)
             parity = 1 - parity
-        ops = tuple(OP_LC if i in actors else OP_NONE for i in ROBOTS)
-        new_lights = list(lights)
-        new_pos = list(positions)
-        moves = [OP_NONE, OP_NONE]
-        for i in actors:
-            nl, lam = transition(g, lights[1 - i])
-            dest = destination(positions[i], positions[1 - i], lam)
-            new_lights[i] = nl
-            if dest != positions[i]:
-                new_pos[i] = dest
-                moves[i] = OP_M
-        for row in _ssync_round_rows(ops, tuple(moves)):
-            rows.append(row)
-            fracs.append((None, None))
-        lights, positions = new_lights, new_pos
-        if abs(positions[0] - positions[1]) == 0:
+        slots, _completions, state = _step(state, g, _ADVERSARY_CFG, dict.fromkeys(actors))
+        rows += slots
+        if _is_rendezvous_state(state):
             break
-    schedule = Schedule(prefix=block(rows, fracs))
-    trace = run(g, schedule, (start, start), distance, scheduler, movement)
-    cert = detect_scaling_loop(trace)
-    return schedule, trace, cert
+    schedule = Schedule(prefix=_timed(rows))
+    trace = run(g, schedule, (start, start), distance, _ADVERSARY_CFG.scheduler, _ADVERSARY_CFG.movement)
+    return schedule, trace, detect_scaling_loop(trace)
 
 
 # ---------------------------------------------------------------------------

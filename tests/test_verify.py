@@ -13,6 +13,8 @@ from lumirend.verify import (
     Rendezvous,
     ScalingLoopCertificate,
     SearchConfig,
+    SearchGraph,
+    _key_movement,
     check_contraction_pattern,
     check_rendezvous,
     check_stationary_partner,
@@ -184,6 +186,36 @@ def test_search_fsync_full_moves_halve_from_pivot():
     )
     verdict = search_one(builtin("ss3"), cfg, ("A", "A"), 1)
     assert isinstance(verdict, Rendezvous)
+
+
+def test_search_state_cap_reports_its_own_reason():
+    # the graph closes without a cap (rendezvous); a cap of 111 states stops
+    # it at depth 10, far below the horizon
+    g = builtin("ss5")
+    capped = search_one(g, SearchConfig(64, LC, NR4, max_states=111), ("A", "A"), 1)
+    assert isinstance(capped, Inconclusive)
+    assert capped.reason == "open branches remain; state cap of 111 reached"
+    assert isinstance(search_one(g, SearchConfig(64, LC, NR4), ("A", "A"), 1), Rendezvous)
+    short = search_one(g, SearchConfig(4, LC, NR4), ("A", "A"), 1)
+    assert short.reason == "open branches remain; horizon too small"
+
+
+def test_canonical_key_keeps_scale_when_a_label_leaves_the_span():
+    # with lambda = 2 a robot jumps past its partner, to twice the distance:
+    # from distance 1/8 the jump is at most delta and always completes, from
+    # 1/4 the adversary may stop it on the partner, so the two must not merge
+    def root(g, movement, d):
+        initial = (("A", "A"), (None, None), (F(0), d))
+        return SearchGraph(g, SearchConfig(1, LC, movement), initial).root
+
+    jump = LightGraph.build("A", {"A": ("A", 2)})
+    assert _key_movement(jump, NR4) is None
+    assert root(jump, NR4, F(1, 8)) != root(jump, NR4, F(1, 4))
+    # labels in [0, 1] keep every move inside the span: small spans still merge
+    halve = LightGraph.build("A", {"A": ("A", "1/2")})
+    assert root(halve, NR4, F(1, 8)) == root(halve, NR4, F(1, 4))
+    # rigid states are free of scale whatever the labels
+    assert root(jump, RIGID, F(1, 8)) == root(jump, RIGID, F(5))
 
 
 def test_search_requires_lc_atomicity():
