@@ -10,6 +10,8 @@ Rationals on the command line are p/q strings; decimals are rejected.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -176,12 +178,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _survey_row(index: int, g: LightGraph, cfg: SearchConfig, dist: Fraction) -> str:
+def _survey_row(index: int, g: LightGraph, cfg: SearchConfig, dist: Fraction) -> list[str]:
     shape = classify_shape(g)
     struct = structural_check(g)
     edges = ";".join(f"{c}>{g.edges[c].target}:{format_rational(g.edges[c].lam)}" for c in g.colors)
+    # labels contain '/', so a start's missing labels are separated by spaces
     missing = ";".join(
-        f"{c}:{'/'.join(format_rational(m) for m in miss)}"
+        f"{c}:{' '.join(format_rational(m) for m in miss)}"
         for c, miss in sorted(struct.per_start_missing.items())
         if miss
     )
@@ -189,17 +192,15 @@ def _survey_row(index: int, g: LightGraph, cfg: SearchConfig, dist: Fraction) ->
     for c in g.colors:
         v = search_one(g, cfg, (c, c), dist)
         verdicts.append(f"{c},{c}:{v.kind}")
-    return ",".join(
-        [
-            str(index),
-            edges,
-            f"sccs={shape.scc_count}",
-            f"selfloops={len(shape.self_loops)}",
-            f"twocycles={len(shape.two_cycles)}",
-            missing or "none",
-            ";".join(verdicts),
-        ]
-    )
+    return [
+        str(index),
+        edges,
+        f"sccs={shape.scc_count}",
+        f"selfloops={len(shape.self_loops)}",
+        f"twocycles={len(shape.two_cycles)}",
+        missing or "none",
+        ";".join(verdicts),
+    ]
 
 
 def cmd_enumerate(args) -> int:
@@ -215,9 +216,12 @@ def cmd_enumerate(args) -> int:
     cfg = SearchConfig(args.horizon, scheduler, movement)
     dist = rational(args.dist)
     rows = [_survey_row(i, g, cfg, dist) for i, g in enumerate(enumerate_graphs(args.colors, labels))]
-    header = "index,edges,sccs,selfloops,twocycles,missing_labels,verdicts"
-    _emit("\n".join([header] + rows) + "\n", args.out)
-    inconclusive = sum(row.count("inconclusive") for row in rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["index", "edges", "sccs", "selfloops", "twocycles", "missing_labels", "verdicts"])
+    writer.writerows(rows)
+    _emit(buf.getvalue(), args.out)
+    inconclusive = sum(row[-1].count("inconclusive") for row in rows)
     sys.stderr.write(f"{inconclusive} inconclusive verdicts at horizon {args.horizon}\n")
     return EXIT_OK
 
@@ -297,15 +301,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _install_config(parser: argparse.ArgumentParser, path: str) -> None:
+    config = json.loads(Path(path).read_text())
+    if not isinstance(config, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    known = {action.dest for p in parser.all_parsers for action in p._actions}
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise ValueError(f"{path} sets unknown keys: {', '.join(unknown)}")
+    for p in parser.all_parsers:
+        p.set_defaults(**config)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args, _unknown = parser.parse_known_args(argv)
-    if args.config:
-        config = json.loads(Path(args.config).read_text())
-        for p in parser.all_parsers:
-            p.set_defaults(**config)
-    args = parser.parse_args(argv)
     try:
+        if args.config:
+            _install_config(parser, args.config)
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -225,8 +225,15 @@ def movement_from_dict(data: dict) -> MovementModel:
 
 
 def destination(me: Fraction, other: Fraction, lam: Fraction) -> Fraction:
-    """Destination point (1-lam)*me + lam*other, exactly."""
-    return (1 - lam) * me + lam * other
+    """Destination point (1-lam)*me + lam*other, exactly.
+
+    The labels 0 (stay) and 1 (jump onto the other robot) need no arithmetic.
+    """
+    if lam == 0:
+        return me
+    if lam == 1:
+        return other
+    return me + lam * (other - me)
 
 
 def truncate_move(

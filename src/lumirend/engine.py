@@ -116,25 +116,22 @@ class _Robot:
     pending: tuple[str, Fraction] | None = None
     cycles: list = field(default_factory=list)
 
+    # Both histories are in time order and most queries are at the current
+    # time, so the scans start from the newest write or move.
+
     def light_at(self, t) -> str:
-        color = self.light_writes[0][1]
-        for wt, c in self.light_writes:
+        for wt, c in reversed(self.light_writes):
             if wt < t:
-                color = c
-            else:
-                break
-        return color
+                return c
+        return self.light_writes[0][1]
 
     def position_at(self, t) -> Fraction:
-        pos = self.initial_pos
-        for tb, te, start, land, _auto in self.moves:
-            if t <= tb:
-                return pos
+        for tb, te, start, land, _auto in reversed(self.moves):
             if t >= te:
-                pos = land
-            else:
+                return land
+            if t > tb:
                 return start + (land - start) * Fraction(t - tb, te - tb)
-        return pos
+        return self.initial_pos
 
 
 @dataclass(frozen=True)
@@ -425,9 +422,9 @@ class Simulation:
                     te, auto = move_ends[i], False
                     if te is None or te <= t:
                         raise EngineError(f"robot {i}: MB at t={t} without a later ME")
-                frac = fractions[i] if fractions[i] is not None else Fraction(1)
-                pos = r.position_at(t)
-                land = truncate_move(pos, r.pending[1], self.movement, frac)
+                pos, dest, frac = r.position_at(t), r.pending[1], fractions[i]
+                # a full move lands on its destination under either movement model
+                land = dest if frac is None else truncate_move(pos, dest, self.movement, frac)
                 r.moves.append((t, te, pos, land, auto))
                 cycle = r.cycles[-1]
                 cycle.mb_t, cycle.land, cycle.moved = t, land, land != pos

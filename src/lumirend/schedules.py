@@ -259,8 +259,9 @@ def _check_rounds(slots: list[Slot], cls: SchedulerClass) -> list[Violation]:
             elif op == OP_M:
                 move_ticks.add(s.time)
     for robot in ROBOTS:
+        lc_set = set(lc_times[robot])
         for t in (s.time for s in slots if s.op_of(robot) == OP_M):
-            if t - 1 not in lc_times[robot]:
+            if t - 1 not in lc_set:
                 problems.append(Violation("round-structure", robot, (t,), f"M at t={t} is not adjacent to its LC"))
     for s in slots:
         for robot in ROBOTS:

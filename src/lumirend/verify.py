@@ -419,28 +419,29 @@ def _canonical_key(state: _State, movement: MovementModel | None):
     base = positions[0]
     pos1 = positions[1] - base
     pend = [None if p is None else p - base for p in pendings]
-    coords = [pos1] + [p for p in pend if p is not None]
-    sign = 1
-    for c in coords:
-        if c != 0:
-            sign = 1 if c > 0 else -1
+    # reflect so that the first nonzero coordinate is positive
+    for c in (pos1, *pend):
+        if c:
+            if c < 0:
+                pos1 = -pos1
+                pend = [None if p is None else -p for p in pend]
             break
-    pos1 *= sign
-    pend = [None if p is None else p * sign for p in pend]
-    everything = [Fraction(0), pos1] + [p for p in pend if p is not None]
-    span = max(everything) - min(everything)
-    scale = Fraction(1)
+    divisor = None
     if movement is None:
         pass
-    elif movement.kind == RIGID:
-        if pos1 > 0:
-            scale = 1 / pos1
-        elif span > 0:
-            scale = 1 / span
-    elif 0 < span <= movement.delta:
-        scale = movement.delta / span
-    pos1 *= scale
-    pend = [None if p is None else p * scale for p in pend]
+    elif movement.kind == RIGID and pos1 > 0:
+        divisor = pos1
+    else:
+        everything = [0, pos1] + [p for p in pend if p is not None]
+        span = max(everything) - min(everything)
+        if movement.kind == RIGID:
+            if span > 0:
+                divisor = span
+        elif 0 < span <= movement.delta:
+            divisor = span / movement.delta
+    if divisor is not None and divisor != 1:
+        pos1 /= divisor
+        pend = [None if p is None else p / divisor for p in pend]
 
     def enc(q):
         return None if q is None else (q.numerator, q.denominator)
@@ -514,16 +515,14 @@ def _search_children(state: _State, g: LightGraph, cfg: SearchConfig):
     for actors in actor_sets:
         per_actor_fracs = []
         for i in actors:
-            if rounds:
-                _nl, lam = transition(g, lights[1 - i])
-                target = destination(positions[i], positions[1 - i], lam)
-            else:
-                target = pendings[i]
-            long_move = (
-                cfg.movement.kind != RIGID
-                and target is not None
-                and abs(target - positions[i]) > cfg.movement.delta
-            )
+            long_move = False
+            if cfg.movement.kind != RIGID:
+                if rounds:
+                    _nl, lam = transition(g, lights[1 - i])
+                    target = destination(positions[i], positions[1 - i], lam)
+                else:
+                    target = pendings[i]
+                long_move = target is not None and abs(target - positions[i]) > cfg.movement.delta
             per_actor_fracs.append(tuple(cfg.fraction_choices) if long_move else (Fraction(1),))
         for fracs in product(*per_actor_fracs):
             yield _step(state, g, cfg, dict(zip(actors, fracs)))

@@ -1,3 +1,4 @@
+import csv
 import json
 from fractions import Fraction
 
@@ -99,6 +100,20 @@ def test_enumerate_single_color(capsys):
     assert "inconclusive" in err
 
 
+def test_enumerate_writes_csv(capsys):
+    code, out, _err = run_cli(
+        capsys, "enumerate", "--colors", "2", "--labels", "0,1/2,1",
+        "--class", "ssync", "--horizon", "40",
+    )
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0] == ["index", "edges", "sccs", "selfloops", "twocycles", "missing_labels", "verdicts"]
+    assert len(rows) == 37  # header + 36 two-color algorithms
+    assert all(len(row) == 7 for row in rows)
+    assert rows[1][5] == "A:1/2 1/1;B:1/2 1/1"
+    assert rows[1][6] == "A,A:diverges;B,B:diverges"
+
+
 def test_enumerate_oversized_needs_force(capsys):
     code, _out, err = run_cli(
         capsys, "enumerate", "--colors", "4", "--class", "ssync", "--horizon", "8",
@@ -152,6 +167,25 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out.splitlines()[-1])["distance"] == "0/1"
+
+
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"horizon": 8, "workers": 2, "no_such_flag": 1}))
+    code, out, err = run_cli(
+        capsys, "--config", str(config), "enumerate", "--colors", "1", "--class", "ssync",
+    )
+    assert code == 1
+    assert out == ""
+    assert "no_such_flag" in err and "workers" in err
+    assert "horizon" not in err
+    for text in ("{bad", "[]"):
+        config.write_text(text)
+        code, _out, err = run_cli(capsys, "--config", str(config), "enumerate", "--colors", "1")
+        assert code == 1 and err.startswith("error:")
+    absent = tmp_path / "absent.json"
+    code, _out, err = run_cli(capsys, "--config", str(absent), "enumerate", "--colors", "1")
+    assert code == 1 and err.startswith("error:")
 
 
 def test_env_horizon_override(monkeypatch, capsys):

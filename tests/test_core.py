@@ -77,6 +77,12 @@ def test_destination(me, other, lam, expected):
     assert destination(me, other, lam) == expected
 
 
+@given(me=rationals, other=rationals, lam=st.sampled_from([F(0), F(1)]) | rationals)
+def test_destination_matches_the_affine_formula(me, other, lam):
+    # labels outside [0, 1] and negative coordinates are in range
+    assert destination(me, other, lam) == (1 - lam) * me + lam * other
+
+
 @given(me=rationals, other=rationals, lam=rationals, a=rationals, b=rationals)
 def test_destination_is_affine(me, other, lam, a, b):
     if a == 0:

@@ -12,6 +12,7 @@ from lumirend.schedules import (
     alt,
     block,
     mirror,
+    ROBOTS,
     random_lc_atomic_schedule,
     sim,
 )
@@ -268,3 +269,41 @@ def test_enumerated_graphs_run_cleanly():
     for g in rng.sample(graphs, 6):
         tr = run(g, alt(horizon=16), ("A", "A"), 1, lcmv(), RIGID)
         assert tr.steps
+
+
+def _forward_light(robot, t):
+    color = robot.light_writes[0][1]
+    for wt, c in robot.light_writes:
+        if wt < t:
+            color = c
+        else:
+            break
+    return color
+
+
+def _forward_position(robot, t):
+    pos = robot.initial_pos
+    for tb, te, start, land, _auto in robot.moves:
+        if t <= tb:
+            return pos
+        if t >= te:
+            pos = land
+        else:
+            return start + (land - start) * Fraction(t - tb, te - tb)
+    return pos
+
+
+def test_history_lookups_match_a_forward_scan():
+    lc = SchedulerClass.asynchronous(lc_atomic=True)
+    mid_flight = 0
+    for seed in range(6):
+        s = random_lc_atomic_schedule(random.Random(seed), 40, [F(0), F(1, 3), F(1, 2), F(1)])
+        for movement in (RIGID, MovementModel.non_rigid(F(1, 8))):
+            tr = run(builtin("qss4"), s, ("A", "B"), 1, lc, movement)
+            for robot in (tr._robots[i] for i in ROBOTS):
+                for k in range(-2, 2 * tr.end_time + 3):
+                    t = F(k, 2)
+                    assert robot.position_at(t) == _forward_position(robot, t)
+                    assert robot.light_at(t) == _forward_light(robot, t)
+                    mid_flight += any(tb < t < te and a != b for tb, te, a, b, _auto in robot.moves)
+    assert mid_flight > 0  # some queries land inside a displacing move: the interpolation branch

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lumirend.algorithms import BadParameter, builtin
 from lumirend.core import LightGraph, MovementModel, SchedulerClass
@@ -14,6 +16,7 @@ from lumirend.verify import (
     ScalingLoopCertificate,
     SearchConfig,
     SearchGraph,
+    _canonical_key,
     _key_movement,
     check_contraction_pattern,
     check_rendezvous,
@@ -216,6 +219,60 @@ def test_canonical_key_keeps_scale_when_a_label_leaves_the_span():
     assert root(halve, NR4, F(1, 8)) == root(halve, NR4, F(1, 4))
     # rigid states are free of scale whatever the labels
     assert root(jump, RIGID, F(1, 8)) == root(jump, RIGID, F(5))
+
+
+def _reference_canonical_key(state, movement):
+    """`_canonical_key` written formula by formula: translate, reflect by the
+    first nonzero coordinate's sign, then multiply by the scale."""
+    lights, pendings, positions = state
+    base = positions[0]
+    pos1 = positions[1] - base
+    pend = [None if p is None else p - base for p in pendings]
+    coords = [pos1] + [p for p in pend if p is not None]
+    sign = 1
+    for c in coords:
+        if c != 0:
+            sign = 1 if c > 0 else -1
+            break
+    pos1 *= sign
+    pend = [None if p is None else p * sign for p in pend]
+    everything = [F(0), pos1] + [p for p in pend if p is not None]
+    span = max(everything) - min(everything)
+    scale = F(1)
+    if movement is None:
+        pass
+    elif movement.kind == "rigid":
+        if pos1 > 0:
+            scale = 1 / pos1
+        elif span > 0:
+            scale = 1 / span
+    elif 0 < span <= movement.delta:
+        scale = movement.delta / span
+    pos1 *= scale
+    pend = [None if p is None else p * scale for p in pend]
+
+    def enc(q):
+        return None if q is None else (q.numerator, q.denominator)
+
+    return (lights, enc(pend[0]), enc(pend[1]), enc(pos1))
+
+
+_coords = st.fractions(min_value=-2, max_value=2, max_denominator=16)
+_states = st.tuples(
+    st.tuples(st.sampled_from("AB"), st.sampled_from("AB")),
+    st.tuples(st.none() | _coords, st.none() | _coords),
+    st.tuples(_coords, _coords),
+)
+
+
+@given(state=_states, movement=st.sampled_from([RIGID, NR4, MovementModel.non_rigid(F(1, 8)), None]))
+@example(state=(("A", "B"), (F(1, 4), None), (F(1, 4), F(1, 4))), movement=RIGID)
+@example(state=(("A", "B"), (F(0), F(-1, 8)), (F(0), F(0))), movement=NR4)
+@example(state=(("A", "A"), (None, F(1, 2)), (F(1, 2), F(1, 4))), movement=NR4)
+@example(state=(("A", "A"), (None, None), (F(1), F(1))), movement=NR4)
+@example(state=(("A", "A"), (None, None), (F(0), F(1))), movement=RIGID)
+def test_canonical_key_matches_the_reference(state, movement):
+    assert _canonical_key(state, movement) == _reference_canonical_key(state, movement)
 
 
 def test_search_requires_lc_atomicity():
