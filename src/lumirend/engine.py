@@ -22,8 +22,10 @@ tuple yields exactly one trace.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Sequence
 
 from .core import (
@@ -87,24 +89,6 @@ class ConfigurationView:
     def pair(self) -> tuple[str, str]:
         return (self.c_r, self.c_s)
 
-    @property
-    def unordered(self) -> frozenset:
-        return frozenset((self.c_r, self.c_s))
-
-
-@dataclass
-class _Cycle:
-    look_t: int | None = None
-    comp_t: int | None = None
-    wrote: str | None = None
-    changed: bool = False
-    dest: Fraction | None = None
-    start: Fraction | None = None
-    mb_t: int | None = None
-    me_t: int | None = None
-    land: Fraction | None = None
-    moved: bool = False
-
 
 @dataclass
 class _Robot:
@@ -114,7 +98,11 @@ class _Robot:
     phase: str = IDLE
     snapshot: tuple[str, Fraction] | None = None
     pending: tuple[str, Fraction] | None = None
-    cycles: list = field(default_factory=list)
+    # one entry per cycle: its Look time, and the last instant at which the
+    # cycle still changes the robot's color or position (the Look time while
+    # it has changed neither)
+    looks: list = field(default_factory=list)
+    effective_until: list = field(default_factory=list)
 
     # Both histories are in time order and most queries are at the current
     # time, so the scans start from the newest write or move.
@@ -132,6 +120,19 @@ class _Robot:
             if t > tb:
                 return start + (land - start) * Fraction(t - tb, te - tb)
         return self.initial_pos
+
+    def committed(self, g: LightGraph, t) -> bool:
+        """True if at time t the robot is moving, or has looked and will move,
+        away from where it stands."""
+        if self.phase == IDLE:
+            return False
+        here = self.position_at(t)
+        if self.phase == MOVING:
+            return self.moves[-1][3] != here
+        if self.phase == COMPUTED:
+            return self.pending[1] != here
+        _nl, lam = transition(g, self.snapshot[0])
+        return destination(here, self.snapshot[1], lam) != here
 
 
 @dataclass(frozen=True)
@@ -171,6 +172,7 @@ class Trace:
             tuple(r.initial_pos for r in robots),
         )
         self.end_time = steps[-1].time + 1 if steps else t0
+        self._committed_at_end = tuple(r.committed(graph, self.end_time) for r in robots)
 
     # -- state queries -------------------------------------------------
 
@@ -188,91 +190,43 @@ class Trace:
 
     # -- operation queries ----------------------------------------------
 
-    def _occurrences(self, robot: int, op: str) -> list[int]:
-        """Times `robot` performs `op`.  A query for LOOK or COMP also matches
-        the LC composite; a query for ME matches the implied end of an atomic
-        M; a query for MB matches an atomic M's begin."""
-        times = [s.time for s in self.steps if s.ops[robot] == op]
-        if op in (OP_LOOK, OP_COMP):
-            times += [s.time for s in self.steps if s.ops[robot] == OP_LC]
-        if op == OP_MB:
-            times += [s.time for s in self.steps if s.ops[robot] == OP_M]
-        if op == OP_ME:
-            times += [s.time + 1 for s in self.steps if s.ops[robot] == OP_M]
-        return sorted(set(times))
-
     def next_op(self, robot: int, op: str, t: int) -> int | None:
-        """First time >= t at which `robot` performs `op`, if any."""
-        for when in self._occurrences(robot, op):
-            if when >= t:
+        """First time >= t at which `robot` performs `op`, if any.  A query
+        for LOOK or COMP also matches the LC composite, one for MB an atomic
+        M's begin, and one for ME the implied end of an atomic M."""
+        also = {OP_LOOK: OP_LC, OP_COMP: OP_LC, OP_MB: OP_M, OP_ME: OP_M}.get(op)
+        # start one instant early: an atomic M there ends at t
+        for k in range(bisect_left(self.steps, t - 1, key=attrgetter("time")), len(self.steps)):
+            step = self.steps[k]
+            done = step.ops[robot]
+            when = step.time + 1 if op == OP_ME and done == OP_M else step.time
+            if (done == op or done == also) and when >= t:
                 return when
         return None
 
-    def prev_op(self, robot: int, op: str, t: int) -> int:
-        """Last time <= t at which `robot` performs `op`; the trace start time
-        when there is none."""
-        best = self.t0
-        for when in self._occurrences(robot, op):
-            if when <= t:
-                best = when
-        return best
-
     # -- cycle start times ----------------------------------------------
 
-    def _pending_displacement(self, robot: int, t) -> bool:
-        """True if at time t the robot is inside, or committed to, a move it
-        has not yet finished and that actually displaces it."""
-        r = self._robots[robot]
-        for tb, te, start, land, _auto in r.moves:
-            if tb < t < te and r.position_at(t) != land:
-                return True
-        return False
-
     def is_cs(self, t: int) -> bool:
-        for robot in ROBOTS:
-            if self._pending_displacement(robot, t):
+        """Whether t is a cycle start time (see `cs_times`)."""
+        for r, open_end in zip(self._robots, self._committed_at_end):
+            k = bisect_left(r.looks, t)  # cycles whose Look came before t
+            if k and (t <= r.effective_until[k - 1] or (open_end and k == len(r.looks))):
                 return False
-            r = self._robots[robot]
-            saw_look = False
-            for step in self.steps:
-                if step.time < t or step.ops[robot] == OP_NONE:
-                    continue
-                op = step.ops[robot]
-                if op in (OP_LOOK, OP_LC):
-                    saw_look = True
-                    break
-                cycle = self._cycle_containing(robot, step.time)
-                if cycle is None:
-                    return False
-                if op == OP_COMP and (cycle.changed or cycle.moved):
-                    return False
-                if op in (OP_MB, OP_M, OP_ME) and cycle.moved:
-                    return False
-            if not saw_look:
-                # trace ends before this robot looks again: it must be quiescent
-                last = r.cycles[-1] if r.cycles else None
-                if last is not None and last.comp_t is not None and last.me_t is None:
-                    if last.mb_t is None and last.dest is not None and last.dest != last.start:
-                        return False
-                if last is not None and last.comp_t is None and last.look_t is not None:
-                    col, pos = r.snapshot if r.snapshot else (None, None)
-                    if col is not None:
-                        _nl, lam = transition(self.graph, col)
-                        if destination(r.position_at(t), pos, lam) != r.position_at(t):
-                            return False
         return True
-
-    def _cycle_containing(self, robot: int, t: int) -> _Cycle | None:
-        for cycle in self._robots[robot].cycles:
-            times = [x for x in (cycle.look_t, cycle.comp_t, cycle.mb_t, cycle.me_t) if x is not None]
-            if times and min(times) <= t <= max(times):
-                return cycle
-        return None
 
     def cs_times(self) -> list[int]:
         """All cycle start times: instants where both robots' next performed
         operations are Looks, after normalizing away operations that neither
-        change a color nor move a robot."""
+        change a color nor move a robot.
+
+        For each robot, the cycle whose Look came last before t decides: t is
+        no cycle start if it is at or before that cycle's last effective
+        instant.  That instant is the Compute time if the Compute changed the
+        color, and the move's last instant if the move displaced the robot:
+        the time of an atomic M, the ME of a split move, or, for a split move
+        cut off by the rendezvous, the instant before its ME was due.  A last
+        cycle that leaves the robot committed to a displacing move when the
+        trace ends has no last effective instant."""
         candidates = {self.t0, self.end_time}
         candidates.update(s.time for s in self.steps)
         return [t for t in sorted(candidates) if self.is_cs(t)]
@@ -403,7 +357,8 @@ class Simulation:
                 if r.phase != IDLE:
                     raise IllegalOp(i, op, r.phase, t)
                 r.snapshot = observed[i]
-                r.cycles.append(_Cycle(look_t=t, start=r.position_at(t)))
+                r.looks.append(t)
+                r.effective_until.append(t)
                 r.phase = LOOKED
                 if op == OP_LC:
                     if not self.scheduler.lc_atomic:
@@ -426,15 +381,15 @@ class Simulation:
                 # a full move lands on its destination under either movement model
                 land = dest if frac is None else truncate_move(pos, dest, self.movement, frac)
                 r.moves.append((t, te, pos, land, auto))
-                cycle = r.cycles[-1]
-                cycle.mb_t, cycle.land, cycle.moved = t, land, land != pos
-                if auto:
-                    cycle.me_t = te
+                if land != pos:
+                    # in flight up to the instant before the move ends
+                    r.effective_until[-1] = te - 1
                 r.phase = MOVING
             elif op == OP_ME:
                 if r.phase != MOVING or r.moves[-1][4] or r.moves[-1][1] != t:
                     raise IllegalOp(i, op, r.phase, t)
-                r.cycles[-1].me_t = t
+                if r.moves[-1][3] != r.moves[-1][2]:
+                    r.effective_until[-1] = t
                 r.phase = IDLE
                 r.pending = None
                 r.snapshot = None
@@ -447,30 +402,17 @@ class Simulation:
         seen_color, seen_pos = r.snapshot
         next_light, lam = transition(self.g, seen_color)
         dest = destination(r.position_at(t), seen_pos, lam)
-        changed = next_light != r.light_at(t)
+        if next_light != r.light_at(t):
+            r.effective_until[-1] = t
         r.light_writes.append((t, next_light))
         r.pending = (next_light, dest)
         r.phase = COMPUTED
-        cycle = r.cycles[-1]
-        cycle.comp_t, cycle.wrote, cycle.changed, cycle.dest = t, next_light, changed, dest
 
     # -- rendezvous ----------------------------------------------------------
 
     def quiescent_zero(self, t) -> bool:
         """Distance zero with no robot committed to a displacing move."""
-        if self.distance_at(t) != 0:
-            return False
-        for i in ROBOTS:
-            r = self.robots[i]
-            if r.phase == MOVING and r.moves[-1][3] != r.position_at(t):
-                return False
-            if r.phase == COMPUTED and r.pending[1] != r.position_at(t):
-                return False
-            if r.phase == LOOKED:
-                _nl, lam = transition(self.g, r.snapshot[0])
-                if destination(r.position_at(t), r.snapshot[1], lam) != r.position_at(t):
-                    return False
-        return True
+        return self.distance_at(t) == 0 and not any(r.committed(self.g, t) for r in self.robots)
 
 
 def _me_times(slots: list[Slot]) -> dict[tuple[int, int], int]:

@@ -50,7 +50,7 @@ from .core import (
     transition,
     truncate_move,
 )
-from .engine import ConfigurationView, Trace, run
+from .engine import ConfigurationView, EngineError, Trace, run
 from .schedules import (
     OP_LC,
     OP_LOOK,
@@ -164,15 +164,18 @@ def _replay_block(cert: ScalingLoopCertificate, colors, distance, swapped: bool)
     slots = cert.schedule_block
     if swapped:
         slots = mirror(Schedule(prefix=slots)).prefix
-    trace = run(
-        cert.graph,
-        Schedule(prefix=slots),
-        colors,
-        distance,
-        cert.scheduler,
-        cert.movement,
-        stop_at_rendezvous=True,
-    )
+    try:
+        trace = run(
+            cert.graph,
+            Schedule(prefix=slots),
+            colors,
+            distance,
+            cert.scheduler,
+            cert.movement,
+            stop_at_rendezvous=True,
+        )
+    except EngineError as exc:
+        raise CertificateError(f"the engine rejects the block: {exc}") from exc
     if trace.rendezvous_time is not None:
         raise CertificateError("block reaches rendezvous; not a divergence witness")
     if not trace.is_cs(trace.end_time):

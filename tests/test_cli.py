@@ -1,8 +1,10 @@
 import csv
 import json
+import random
 from fractions import Fraction
 
 from lumirend.cli import main
+from lumirend.schedules import random_lc_atomic_schedule
 from lumirend.verify import ScalingLoopCertificate, replay_paper_counterexample
 
 
@@ -33,6 +35,20 @@ def test_run_divergent_schedule_file(tmp_path, capsys):
     assert code == 2
     cert = ScalingLoopCertificate.from_json(err)
     assert cert.ratio == Fraction(1, 4)
+
+
+def test_run_split_moves_past_a_block(tmp_path, capsys):
+    # candidate blocks between cycle starts can hold an MB whose ME falls
+    # after the block; the engine rejects such a block and the search skips it
+    sched_file = tmp_path / "split.json"
+    fractions = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+    sched_file.write_text(random_lc_atomic_schedule(random.Random(1), 40, fractions).to_json())
+    code, _out, err = run_cli(
+        capsys, "run", "--alg", "qss4", "--schedule", str(sched_file), "--init", "A,A",
+        "--class", "async,lc-atomic", "--nonrigid", "--delta", "1/8", "--horizon", "40",
+    )
+    assert code in (2, 3)
+    assert "Traceback" not in err
 
 
 def test_run_zero_distance_start(capsys):
@@ -156,6 +172,17 @@ def test_replay_validate_rejects_tampering(tmp_path, capsys):
     code, _out, err = run_cli(capsys, "replay", "--validate", str(out_file))
     assert code == 1
     assert "replay" in err or "ratio" in err
+
+
+def test_replay_validate_rejects_illegal_block(tmp_path, capsys):
+    out_file = tmp_path / "cert.json"
+    run_cli(capsys, "replay", "lemma9_3", "--lambda", "1/2", "--out", str(out_file))
+    data = json.loads(out_file.read_text())
+    data["block"]["prefix"][0]["ops"][0] = "MB"
+    out_file.write_text(json.dumps(data))
+    code, _out, err = run_cli(capsys, "replay", "--validate", str(out_file))
+    assert code == 1
+    assert err.startswith("error:") and "MB" in err
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

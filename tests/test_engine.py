@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lumirend.algorithms import builtin, enumerate_graphs
-from lumirend.core import LightGraph, MovementModel, SchedulerClass
+from lumirend.core import LightGraph, MovementModel, SchedulerClass, destination, transition
 from lumirend.engine import IllegalOp, Simulation, run
 from lumirend.schedules import (
     Schedule,
@@ -176,14 +176,17 @@ def test_distance_zero_is_absorbing():
 # -- queries -------------------------------------------------------------------
 
 
-def test_next_and_prev_op():
+def test_next_op():
     tr = run(builtin("ss3"), alt(horizon=8), ("A", "A"), 1, lcmv(), RIGID)
     assert tr.next_op(0, "LC", 0) == 1
     assert tr.next_op(1, "LC", 0) == 2
     assert tr.next_op(0, "LOOK", 2) == 5  # LC counts as a Look
-    assert tr.prev_op(1, "LC", 0) == 0  # defaults to the start time
+    assert tr.next_op(0, "COMP", 1) == 1  # ... and as a Compute
     assert tr.next_op(0, "LC", 9) is None
     assert tr.next_op(0, "ME", 1) == 4  # implied end of the atomic move at 3
+    assert tr.next_op(0, "ME", 4) == 4
+    assert tr.next_op(0, "MB", 4) == 7  # the atomic move at 7 begins there
+    assert tr.next_op(0, "M", 4) == 7
 
 
 def test_cs_times_alt():
@@ -307,3 +310,107 @@ def test_history_lookups_match_a_forward_scan():
                     assert robot.light_at(t) == _forward_light(robot, t)
                     mid_flight += any(tb < t < te and a != b for tb, te, a, b, _auto in robot.moves)
     assert mid_flight > 0  # some queries land inside a displacing move: the interpolation branch
+
+
+# -- cycle starts against a reference read from the steps ------------------------
+
+
+def _reference_is_cs(trace, t):
+    """Cycle starts by the definition in `Trace.cs_times`, read from the steps:
+    for each robot, the operations from t on of the cycle it is in at t (the
+    one whose Look came last before t) must neither change its color nor move
+    it, and a cycle still open when the trace ends must not be bound to move."""
+    for i in ROBOTS:
+        mine = [s for s in trace.steps if s.ops[i] != "-"]
+        looks = [s.time for s in mine if s.ops[i] in ("LOOK", "LC")]
+        if not any(look < t for look in looks):
+            continue
+        look = max(x for x in looks if x < t)
+        later = [x for x in looks if x > look]
+        cycle = [s for s in mine if look <= s.time < (later[0] if later else trace.end_time + 1)]
+        start = trace.position_at(i, look)
+        moves = [s for s in cycle if s.ops[i] in ("MB", "M", "ME")]
+        if moves and moves[-1].ops[i] != "MB":
+            end = moves[-1].positions_after[i]
+        else:  # no move yet, or one the rendezvous cut off before its ME
+            end = trace.position_at(i, trace.end_time)
+        for s in cycle:
+            if s.time < t:
+                continue
+            if s.ops[i] == "COMP" and trace.light_at(i, s.time + 1) != trace.light_at(i, s.time):
+                return False
+            if s.ops[i] in ("MB", "M", "ME") and end != start:
+                return False
+        if moves and trace.position_at(i, t) != end:
+            return False  # still in flight
+        if not moves and not later:
+            seen = (trace.light_at(1 - i, look), trace.position_at(1 - i, look))
+            if destination(start, seen[1], transition(trace.graph, seen[0])[1]) != start:
+                return False
+    return True
+
+
+def _random_async_schedule(rng, horizon, fractions):
+    """Random cycles under plain asynchrony: a split LOOK..COMP, then a split
+    MB..ME, an atomic M or a declared no-move cycle (the next Look at once)."""
+    phase, me_due, rows = ["idle", "idle"], [0, 0], []
+    for t in range(1, horizon + 1):
+        ops, fr = ["-", "-"], [None, None]
+        for r in ROBOTS:
+            if phase[r] == "moving":
+                if t == me_due[r]:
+                    ops[r], phase[r] = "ME", "idle"
+            elif rng.random() < 0.4:
+                continue
+            elif phase[r] == "idle" or (phase[r] == "computed" and rng.random() < 0.2):
+                ops[r], phase[r] = "LOOK", "looked"
+            elif phase[r] == "looked":
+                ops[r], phase[r] = "COMP", "computed"
+            elif t + 3 <= horizon and rng.random() < 0.5:
+                ops[r], fr[r], phase[r] = "MB", rng.choice(fractions), "moving"
+                me_due[r] = t + rng.randint(1, 3)
+            else:
+                ops[r], fr[r], phase[r] = "M", rng.choice(fractions), "idle"
+        if ops != ["-", "-"]:
+            rows.append(Slot(t, tuple(ops), tuple(fr)))
+    return Schedule(prefix=tuple(rows))
+
+
+def _cs_traces():
+    fractions = [F(0), F(1, 3), F(1, 2), F(1)]
+    movements = (RIGID, MovementModel.non_rigid(F(1, 8)))
+    for name in ("ss3", "qss4", "nonqss3", "ss5"):
+        g = builtin(name)
+        for cut in (True, False):
+            for movement in movements:
+                for sched in (alt(horizon=12), sim(horizon=12)):
+                    yield run(g, sched, ("A", "A"), 1, lcmv(), movement, stop_at_rendezvous=cut)
+            for seed in range(12):
+                rng = random.Random(seed)
+                movement = movements[seed % 2]
+                init = (rng.choice(g.colors), rng.choice(g.colors))
+                s = random_lc_atomic_schedule(rng, 30, fractions)
+                yield run(g, s, init, 1, SchedulerClass.asynchronous(lc_atomic=True), movement,
+                          stop_at_rendezvous=cut)
+                try:
+                    yield run(g, _random_async_schedule(rng, 30, fractions), init, 1,
+                              SchedulerClass.asynchronous(), movement, stop_at_rendezvous=cut)
+                except IllegalOp:
+                    pass  # a declared no-move cycle whose robot had to move
+
+
+def test_cycle_starts_match_the_reference():
+    seen = {"split look": 0, "declared no-move": 0, "idle move": 0, "cut move": 0}
+    for tr in _cs_traces():
+        for t in range(tr.end_time + 3):
+            assert tr.is_cs(t) == _reference_is_cs(tr, t), (tr.to_jsonl(), t)
+        assert tr.cs_times() == [
+            t for t in sorted({0, tr.end_time, *(s.time for s in tr.steps)}) if _reference_is_cs(tr, t)
+        ]
+        for i in ROBOTS:
+            ops = [s.ops[i] for s in tr.steps if s.ops[i] != "-"]
+            seen["split look"] += "COMP" in ops
+            seen["declared no-move"] += any(a == "COMP" and b == "LOOK" for a, b in zip(ops, ops[1:]))
+            seen["idle move"] += any(start == land for _tb, _te, start, land, _a in tr._robots[i].moves)
+            seen["cut move"] += bool(ops) and ops[-1] == "MB" and tr.rendezvous_time is not None
+    assert all(seen.values()), seen
