@@ -37,7 +37,7 @@ from .core import (
     format_rational,
     rational,
 )
-from .engine import run
+from .engine import EngineError, run
 from .verify import (
     Diverges,
     Inconclusive,
@@ -321,7 +321,7 @@ def main(argv=None) -> int:
             _install_config(parser, args.config)
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, EngineError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

@@ -12,7 +12,9 @@ fraction from a small set; moves are atomic events.  The reachable state
 graph is explored to a depth bound, and the verdict comes from a fairness
 analysis of its strongly connected components: a cycle in which both robots
 complete cycles is a fair non-terminating execution, while a closed graph
-without such a cycle sends every fair execution to rendezvous.
+without such a cycle sends every fair execution to rendezvous.  The analysis
+also runs on the partial graph at depths 1, 2, 4, 8, ..., so a search stops
+at the first of them whose fair cycle yields a certificate.
 
 At the search level a round has one step function, `_step`: the search
 expands states with it, certificate extraction re-walks a fair cycle with
@@ -542,21 +544,33 @@ class _Node:
 
 
 class SearchGraph:
-    """Depth-bounded reachable state graph for one initial configuration."""
+    """Depth-bounded reachable state graph for one initial configuration.
 
-    def __init__(self, g: LightGraph, cfg: SearchConfig, initial: _State):
+    By default the graph is explored to the horizon (or the state cap).  With
+    `stop_at_certificate`, exploration also runs the fair-SCC test each time
+    the BFS frontier reaches depth 1, 2, 4, 8, ... and stops as soon as that
+    SCC yields a validated certificate, kept in `certificate`.  The partial
+    graph is a subgraph of the full one, so a fair loop in it is one in the
+    full graph too; a graph stopped early is never read for `Rendezvous`.
+    """
+
+    def __init__(
+        self, g: LightGraph, cfg: SearchConfig, initial: _State, stop_at_certificate: bool = False
+    ):
         self.g = g
         self.cfg = cfg
         self.nodes: dict = {}
         self.capped = False  # set when exploration stops at cfg.max_states
-        self._explore(initial)
+        self.certificate: ScalingLoopCertificate | None = None  # set on an early stop
+        self._explore(initial, stop_at_certificate)
 
-    def _explore(self, initial: _State) -> None:
+    def _explore(self, initial: _State, stop_at_certificate: bool) -> None:
         cfg = self.cfg
         key_movement = _key_movement(self.g, cfg.movement)
         self.root = _canonical_key(initial, key_movement)
         self.nodes[self.root] = _Node(0, initial, 0, _is_rendezvous_state(initial))
         frontier = [self.root]
+        depth, milestone = 0, 1
         while frontier:
             next_frontier = []
             for key in frontier:
@@ -576,6 +590,15 @@ class SearchGraph:
                         next_frontier.append(ckey)
                     node.edges.append((slots, completions, ckey))
             frontier = next_frontier
+            depth += 1
+            # a complete graph (closed, or at the horizon) is tested once, by the caller
+            if stop_at_certificate and frontier and depth == milestone and depth < cfg.horizon:
+                milestone *= 2
+                comp = self.fair_scc()
+                if comp is not None:
+                    self.certificate = self.certificate_from_scc(comp)
+                    if self.certificate is not None:
+                        return
 
     # -- strongly connected components over non-rendezvous nodes ------------
 
@@ -721,7 +744,9 @@ class SearchGraph:
 def _search_core(g: LightGraph, cfg: SearchConfig, colors: tuple[str, str], distance) -> Verdict:
     d = rational(distance)
     initial: _State = ((colors[0], colors[1]), (None, None), (Fraction(0), d))
-    graph = SearchGraph(g, cfg, initial)
+    graph = SearchGraph(g, cfg, initial, stop_at_certificate=True)
+    if graph.certificate is not None:
+        return Diverges(graph.certificate)
     comp = graph.fair_scc()
     if comp is not None:
         cert = graph.certificate_from_scc(comp)

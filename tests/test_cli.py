@@ -1,7 +1,13 @@
 import csv
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from lumirend.cli import main
 from lumirend.schedules import random_lc_atomic_schedule
@@ -48,6 +54,29 @@ def test_run_split_moves_past_a_block(tmp_path, capsys):
         "--class", "async,lc-atomic", "--nonrigid", "--delta", "1/8", "--horizon", "40",
     )
     assert code in (2, 3)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "prefix, message",
+    [
+        # the horizon cuts the split move between its MB and its ME
+        ([{"t": 1, "ops": ["LC", "-"]}, {"t": 2, "ops": ["MB", "-"]}, {"t": 5, "ops": ["ME", "-"]}],
+         "MB at t=2 without a later ME"),
+        # a move with no Look-Compute before it: an illegal schedule
+        ([{"t": 1, "ops": ["M", "-"]}], "op M illegal in phase idle at t=1"),
+    ],
+)
+def test_run_reports_engine_errors(tmp_path, capsys, prefix, message):
+    sched_file = tmp_path / "bad.json"
+    sched_file.write_text(json.dumps({"prefix": prefix}))
+    code, out, err = run_cli(
+        capsys, "run", "--alg", "ss3", "--init", "A,A", "--class", "async,lc-atomic",
+        "--horizon", "3", "--schedule", str(sched_file),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
     assert "Traceback" not in err
 
 
@@ -236,3 +265,17 @@ def test_graph_file_input(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out.splitlines()[-1])["distance"] == "0/1"
+
+
+def test_python_dash_m_runs_the_cli():
+    # the README's commands run as `python -m lumirend ...` without an install
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lumirend", "verify", "--alg", "nonqss3", "--class", "lc-atomic",
+         "--rigid", "--init", "B,B"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout)["verdict"]["kind"] == "diverges"

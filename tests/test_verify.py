@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lumirend.algorithms import BadParameter, builtin
+from lumirend.algorithms import BadParameter, builtin, enumerate_graphs
 from lumirend.core import LightGraph, MovementModel, SchedulerClass
 from lumirend.engine import run
 from lumirend.schedules import Schedule, block, sim
@@ -201,6 +201,77 @@ def test_search_state_cap_reports_its_own_reason():
     assert isinstance(search_one(g, SearchConfig(64, LC, NR4), ("A", "A"), 1), Rendezvous)
     short = search_one(g, SearchConfig(4, LC, NR4), ("A", "A"), 1)
     assert short.reason == "open branches remain; horizon too small"
+
+
+NO_CLEAN_ENTRY = "fair loop found but no clean certificate entry"
+
+
+def _reference_search(g, cfg, colors, distance):
+    """The verdict of one search from the graph explored to the horizon: a
+    default `SearchGraph`, its first fair SCC, and that SCC's certificate."""
+    initial = (colors, (None, None), (F(0), F(distance)))
+    graph = SearchGraph(g, cfg, initial)
+    comp = graph.fair_scc()
+    if comp is not None:
+        cert = graph.certificate_from_scc(comp)
+        return Diverges(cert) if cert is not None else Inconclusive(cfg.horizon, NO_CLEAN_ENTRY)
+    if graph.capped:
+        return Inconclusive(cfg.horizon, f"open branches remain; state cap of {cfg.max_states} reached")
+    if graph.open_frontier():
+        return Inconclusive(cfg.horizon, "open branches remain; horizon too small")
+    return Rendezvous(cfg.horizon)
+
+
+def test_early_stop_agrees_with_the_full_graph():
+    # a search may stop at a doubling depth only on a validated certificate:
+    # every verdict of the full graph stands, except that a fair loop without
+    # a clean entry may give way to a certificate found in a partial graph
+    halves = (F(0), F(1, 2), F(1))
+    graphs = list(enumerate_graphs(2, halves)) + [
+        builtin(name) for name in ("ss3", "alg_b", "nonqss3", "qss4", "ss5")
+    ]
+    # from B,B under SSYNC, rigid: the fair SCC of the partial graph at depth
+    # 2 yields no certificate, the one of the complete graph does
+    graphs.append(LightGraph.build("AB", {"A": ("B", "-1/2"), "B": ("A", 1)}))
+    settings = [
+        SearchConfig(3, scheduler, movement, fractions)
+        for scheduler in (SchedulerClass.ssync(), LC, LCMV)
+        for movement, fractions in ((RIGID, (F(0), F(1))), (NR4, halves))
+    ]
+    for g in graphs:
+        for cfg in settings:
+            for colors in ((a, b) for a in g.colors for b in g.colors):
+                want = _reference_search(g, cfg, colors, 1)
+                got = search_one(g, cfg, colors, 1, prepass=False)
+                if isinstance(got, Diverges):
+                    validate_certificate(got.certificate)
+                    if want.kind != "diverges":
+                        assert want.reason == NO_CLEAN_ENTRY, (g, cfg, colors)
+                        continue
+                assert (got.kind, getattr(got, "reason", None)) == (
+                    want.kind, getattr(want, "reason", None)
+                ), (g, cfg, colors)
+
+
+def test_search_stops_at_the_first_certified_depth(monkeypatch):
+    # explored to the horizon, each of these graphs holds 1e5-2e5 states; a
+    # fair loop in each certifies by depth 8
+    built = []
+
+    class RecordingGraph(SearchGraph):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr("lumirend.verify.SearchGraph", RecordingGraph)
+    jump = LightGraph.build("A", {"A": ("A", 2)})
+    for g, horizon, d in ((jump, 16, F(1, 8)), (jump, 16, F(1, 4)), (builtin("ss3"), 64, 1)):
+        built.clear()
+        verdict = search_one(g, SearchConfig(horizon, LC, NR4), ("A", "A"), d)
+        assert isinstance(verdict, Diverges)
+        validate_certificate(verdict.certificate)
+        assert built
+        assert all(max(n.depth for n in graph.nodes.values()) <= 8 for graph in built)
 
 
 def test_canonical_key_keeps_scale_when_a_label_leaves_the_span():
