@@ -25,7 +25,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 from .core import (
@@ -104,22 +104,26 @@ class _Robot:
     looks: list = field(default_factory=list)
     effective_until: list = field(default_factory=list)
 
-    # Both histories are in time order and most queries are at the current
-    # time, so the scans start from the newest write or move.
+    # Both histories are in time order.  Most queries are at the current
+    # time and are answered from the newest write or move; an earlier time
+    # bisects over the write or move-begin times.
 
     def light_at(self, t) -> str:
-        for wt, c in reversed(self.light_writes):
-            if wt < t:
-                return c
-        return self.light_writes[0][1]
+        writes = self.light_writes
+        # the writes visible at t: made before t
+        k = len(writes) if writes[-1][0] < t else bisect_left(writes, t, key=itemgetter(0))
+        return writes[k - 1][1] if k else writes[0][1]
 
     def position_at(self, t) -> Fraction:
-        for tb, te, start, land, _auto in reversed(self.moves):
-            if t >= te:
-                return land
-            if t > tb:
-                return start + (land - start) * Fraction(t - tb, te - tb)
-        return self.initial_pos
+        moves = self.moves
+        # the moves begun before t; the newest of them decides
+        k = len(moves) if moves and moves[-1][0] < t else bisect_left(moves, t, key=itemgetter(0))
+        if not k:
+            return self.initial_pos
+        tb, te, start, land, _auto = moves[k - 1]
+        if t >= te:
+            return land
+        return start + (land - start) * Fraction(t - tb, te - tb)
 
     def committed(self, g: LightGraph, t) -> bool:
         """True if at time t the robot is moving, or has looked and will move,
@@ -302,9 +306,6 @@ class Simulation:
     def position_at(self, robot: int, t) -> Fraction:
         return self.robots[robot].position_at(t)
 
-    def distance_at(self, t) -> Fraction:
-        return abs(self.position_at(0, t) - self.position_at(1, t))
-
     def robot_state(self, robot: int, t) -> RobotState:
         r = self.robots[robot]
         return RobotState(r.light_at(t), r.position_at(t), r.phase, r.snapshot, r.pending)
@@ -408,12 +409,6 @@ class Simulation:
         r.pending = (next_light, dest)
         r.phase = COMPUTED
 
-    # -- rendezvous ----------------------------------------------------------
-
-    def quiescent_zero(self, t) -> bool:
-        """Distance zero with no robot committed to a displacing move."""
-        return self.distance_at(t) == 0 and not any(r.committed(self.g, t) for r in self.robots)
-
 
 def _me_times(slots: list[Slot]) -> dict[tuple[int, int], int]:
     """Map (robot, MB time) -> ME time, for split moves."""
@@ -457,25 +452,25 @@ def run(
             raise ValueError("initial distance must be non-negative")
         positions = (Fraction(0), d)
     simstate = Simulation(g, scheduler, movement, list(initial_colors), positions)
+    r0, r1 = simstate.robots
     slots = list(schedule.unroll(horizon))
     ends = _me_times(slots)
     steps: list[TraceStep] = []
-    rendezvous_time = None
-    if stop_at_rendezvous and simstate.quiescent_zero(0):
-        rendezvous_time = 0
-        slots = []
+
+    def met(t, p0, p1) -> bool:
+        # rendezvous: one point, and no robot committed to a displacing move
+        return p0 == p1 and not (r0.committed(g, t) or r1.committed(g, t))
+
+    if stop_at_rendezvous and met(0, r0.initial_pos, r1.initial_pos):
+        return Trace(g, scheduler, movement, simstate.robots, steps, 0)
     for slot in slots:
         t = slot.time
-        simstate.step(
-            t,
-            slot.ops,
-            slot.fractions,
-            tuple(ends.get((robot, t)) for robot in ROBOTS),
-        )
-        lights = tuple(simstate.light_at(i, t + 1) for i in ROBOTS)
-        poss = tuple(simstate.position_at(i, t + 1) for i in ROBOTS)
-        steps.append(TraceStep(t, slot.ops, slot.fractions, lights, poss, abs(poss[0] - poss[1])))
-        if stop_at_rendezvous and simstate.quiescent_zero(t + 1):
-            rendezvous_time = t + 1
-            break
-    return Trace(g, scheduler, movement, simstate.robots, steps, rendezvous_time)
+        simstate.step(t, slot.ops, slot.fractions, (ends.get((0, t)), ends.get((1, t))))
+        # every write and move so far began at or before t: the newest entries
+        # give the state at t + 1
+        p0, p1 = r0.position_at(t + 1), r1.position_at(t + 1)
+        lights = (r0.light_writes[-1][1], r1.light_writes[-1][1])
+        steps.append(TraceStep(t, slot.ops, slot.fractions, lights, (p0, p1), abs(p0 - p1)))
+        if stop_at_rendezvous and met(t + 1, p0, p1):
+            return Trace(g, scheduler, movement, simstate.robots, steps, t + 1)
+    return Trace(g, scheduler, movement, simstate.robots, steps, None)

@@ -192,10 +192,6 @@ class Violation:
     message: str
 
 
-def _robot_ops(slots: list[Slot], robot: int) -> list[tuple[int, str]]:
-    return [(s.time, s.op_of(robot)) for s in slots if s.op_of(robot) != OP_NONE]
-
-
 # Per-robot operation pattern: the cyclic order Look -> Comp -> MB -> ME, with
 # LC merging Look+Comp, M merging MB+ME (end implied at t+1), and a cycle whose
 # movement turns out empty allowed to omit its move ops entirely.
@@ -210,12 +206,15 @@ _NEXT_PHASE = {
     ("moving", OP_ME): "idle",
 }
 
+# The checks below read one robot's (time, op) list, its ops other than '-'
+# in time order.
+
 
 # No spacing check is needed: a Schedule's times strictly increase, so one
 # robot's ops are at least the one tick apart that Comp and M effects need.
-def _check_pattern(slots: list[Slot], robot: int) -> list[Violation]:
+def _check_pattern(ops: list[tuple[int, str]], robot: int) -> list[Violation]:
     phase = "idle"
-    for t, op in _robot_ops(slots, robot):
+    for t, op in ops:
         key = (phase, op)
         if key not in _NEXT_PHASE:
             return [
@@ -225,10 +224,10 @@ def _check_pattern(slots: list[Slot], robot: int) -> list[Violation]:
     return []
 
 
-def _windows(slots: list[Slot], robot: int, begin_op: str, end_op: str) -> list[tuple[int, int]]:
+def _windows(ops: list[tuple[int, str]], begin_op: str, end_op: str) -> list[tuple[int, int]]:
     spans = []
     open_t = None
-    for t, op in _robot_ops(slots, robot):
+    for t, op in ops:
         if op == begin_op:
             open_t = t
         elif op == end_op and open_t is not None:
@@ -237,38 +236,37 @@ def _windows(slots: list[Slot], robot: int, begin_op: str, end_op: str) -> list[
     return spans
 
 
-def _check_rounds(slots: list[Slot], cls: SchedulerClass) -> list[Violation]:
+def _check_rounds(ops: tuple[list, list], cls: SchedulerClass) -> list[Violation]:
     """FSYNC/SSYNC structure: cycles are instantaneous rounds.
 
     Encoded on the integer timeline as an LC at round time t with the move (if
     any) at t+1; no Look may coincide with a pending move tick, and FSYNC
     activates both robots in every round.
     """
-    problems = []
-    move_ticks = set()
-    lc_times = {0: [], 1: []}
-    for s in slots:
-        for robot in ROBOTS:
-            op = s.op_of(robot)
-            if op in (OP_LOOK, OP_COMP, OP_MB, OP_ME):
-                problems.append(
-                    Violation("round-structure", robot, (s.time,), f"{op} not allowed under {cls.kind}: cycles are atomic rounds")
-                )
-            elif op == OP_LC:
-                lc_times[robot].append(s.time)
+    split = []  # (t, robot, op) of the ops that rounds forbid
+    lc_times = ([], [])
+    m_times = ([], [])
+    for robot in ROBOTS:
+        for t, op in ops[robot]:
+            if op == OP_LC:
+                lc_times[robot].append(t)
             elif op == OP_M:
-                move_ticks.add(s.time)
+                m_times[robot].append(t)
+            elif op in (OP_LOOK, OP_COMP, OP_MB, OP_ME):
+                split.append((t, robot, op))
+    # the violations of one kind are reported in time order, robot 0 first
+    problems = [
+        Violation("round-structure", robot, (t,), f"{op} not allowed under {cls.kind}: cycles are atomic rounds")
+        for t, robot, op in sorted(split)
+    ]
     for robot in ROBOTS:
         lc_set = set(lc_times[robot])
-        for t in (s.time for s in slots if s.op_of(robot) == OP_M):
+        for t in m_times[robot]:
             if t - 1 not in lc_set:
                 problems.append(Violation("round-structure", robot, (t,), f"M at t={t} is not adjacent to its LC"))
-    for s in slots:
-        for robot in ROBOTS:
-            if s.op_of(robot) == OP_LC and s.time in move_ticks:
-                problems.append(
-                    Violation("round-structure", robot, (s.time,), f"Look at t={s.time} coincides with a move tick")
-                )
+    move_ticks = set(m_times[0]) | set(m_times[1])
+    for t, robot in sorted((t, robot) for robot in ROBOTS for t in lc_times[robot] if t in move_ticks):
+        problems.append(Violation("round-structure", robot, (t,), f"Look at t={t} coincides with a move tick"))
     if cls.kind == FSYNC and lc_times[0] != lc_times[1]:
         problems.append(Violation("round-structure", None, (), "FSYNC requires both robots in every round"))
     return problems
@@ -287,43 +285,43 @@ def check_legal(s: Schedule, cls: SchedulerClass, periods: int = 3) -> list[Viol
         limit = (s.prefix[-1].time if s.prefix else 0) + periods * s.loop.period
     else:
         limit = s.prefix[-1].time if s.prefix else 0
-    slots = list(s.unroll(horizon=limit))
     problems: list[Violation] = []
-
-    for slot in slots:
+    ops: tuple[list, list] = ([], [])  # per robot: (time, op), ops other than '-'
+    for slot in s.unroll(horizon=limit):
+        t = slot.time
         for robot in ROBOTS:
-            op = slot.op_of(robot)
+            op = slot.ops[robot]
+            if op == OP_NONE:
+                continue
+            ops[robot].append((t, op))
             if op not in ALL_OPS:
-                problems.append(Violation("unknown-op", robot, (slot.time,), f"unknown op {op!r}"))
-            if op == OP_LC and not cls.lc_atomic:
+                problems.append(Violation("unknown-op", robot, (t,), f"unknown op {op!r}"))
+            elif op == OP_LC and not cls.lc_atomic:
                 problems.append(
-                    Violation("atomicity", robot, (slot.time,), "LC op requires an LC-atomic scheduler class")
+                    Violation("atomicity", robot, (t,), "LC op requires an LC-atomic scheduler class")
                 )
             # an atomic M spans (t, t+1): no integer-time Look can land inside,
             # so the shorthand is acceptable under every class
 
     for robot in ROBOTS:
-        problems.extend(_check_pattern(slots, robot))
+        problems.extend(_check_pattern(ops[robot], robot))
 
-    look_times = {r: [t for t, op in _robot_ops(slots, r) if op in LOOK_OPS] for r in ROBOTS}
+    look_times = [[t for t, op in ops[r] if op in LOOK_OPS] for r in ROBOTS]
+    windows = []
     if cls.lc_atomic:
-        for robot in ROBOTS:
-            for a, b in _windows(slots, robot, OP_LOOK, OP_COMP):
-                for t in look_times[1 - robot]:
-                    if a < t < b:
-                        problems.append(
-                            Violation("lc-window", 1 - robot, (a, t, b), f"Look at t={t} lands inside robot {robot}'s Look..Comp window ({a},{b})")
-                        )
+        windows.append(("lc-window", OP_LOOK, OP_COMP, "Look..Comp window"))
     if cls.move_atomic:
+        windows.append(("move-window", OP_MB, OP_ME, "move window"))
+    for kind, begin_op, end_op, name in windows:
         for robot in ROBOTS:
-            for a, b in _windows(slots, robot, OP_MB, OP_ME):
+            for a, b in _windows(ops[robot], begin_op, end_op):
                 for t in look_times[1 - robot]:
                     if a < t < b:
                         problems.append(
-                            Violation("move-window", 1 - robot, (a, t, b), f"Look at t={t} lands inside robot {robot}'s move window ({a},{b})")
+                            Violation(kind, 1 - robot, (a, t, b), f"Look at t={t} lands inside robot {robot}'s {name} ({a},{b})")
                         )
     if cls.kind in (FSYNC, SSYNC):
-        problems.extend(_check_rounds(slots, cls))
+        problems.extend(_check_rounds(ops, cls))
     return problems
 
 

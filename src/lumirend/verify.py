@@ -27,9 +27,11 @@ with the engine would lose a certificate, never forge one.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .algorithms import builtin, orbit_labels
@@ -260,23 +262,29 @@ def detect_scaling_loop(trace: Trace) -> ScalingLoopCertificate | None:
     configurations: a color-pair recurrence (up to robot swap) with the
     distance scaled by a constant rational ratio in (0, 1]."""
     cs = trace.cs_times()
-    configs = [(t, trace.configuration_at(t)) for t in cs]
+    configs: list[ConfigurationView] = []  # of cs[0], cs[1], ...; built as the pairs reach them
 
-    for i, (ti, ci) in enumerate(configs):
+    def config(k: int) -> ConfigurationView:
+        while len(configs) <= k:
+            configs.append(trace.configuration_at(cs[len(configs)]))
+        return configs[k]
+
+    steps = trace.steps
+    step_time = attrgetter("time")
+    for i, ti in enumerate(cs):
+        ci = config(i)
         if ci.d <= 0:
             continue
-        for tj, cj in configs[i + 1 :]:
+        for j in range(i + 1, len(cs)):
+            cj = config(j)
             if cj.d <= 0 or cj.d > ci.d:
                 continue
             swap = cj.pair == (ci.c_s, ci.c_r) and ci.c_r != ci.c_s
             if not (swap or cj.pair == ci.pair):
                 continue
-            raw = [
-                Slot(s.time, s.ops, s.fractions)
-                for s in trace.steps
-                if ti <= s.time < tj
-            ]
-            blk = _sanitize_block(raw)
+            lo = bisect_left(steps, ti, key=step_time)
+            hi = bisect_left(steps, cs[j], lo, key=step_time)
+            blk = _sanitize_block([Slot(s.time, s.ops, s.fractions) for s in steps[lo:hi]])
             if not blk or not _block_fair(blk):
                 continue
             ratio = cj.d / ci.d
@@ -596,7 +604,10 @@ class SearchGraph:
                 milestone *= 2
                 comp = self.fair_scc()
                 if comp is not None:
-                    self.certificate = self.certificate_from_scc(comp)
+                    try:
+                        self.certificate = self.certificate_from_scc(comp)
+                    except CertificateError:
+                        continue  # a rejected loop: explore on
                     if self.certificate is not None:
                         return
 
@@ -683,6 +694,10 @@ class SearchGraph:
         `validate_certificate` then replays the block through the engine, so
         a search step that disagreed with the engine would reject the
         certificate, never accept a wrong one.
+
+        Returns None when `comp` has no clean member or no such walk, and
+        raises CertificateError when validation rejects the walk's
+        certificate (an expanding loop, for one, has a ratio above 1).
         """
         members = set(comp)
         clean = [
@@ -734,10 +749,7 @@ class SearchGraph:
             ratio=abs(state[2][1] - state[2][0]) / d0,
             swap=False,
         )
-        try:
-            validate_certificate(cert)
-        except CertificateError:
-            return None
+        validate_certificate(cert)
         return cert
 
 
@@ -749,7 +761,10 @@ def _search_core(g: LightGraph, cfg: SearchConfig, colors: tuple[str, str], dist
         return Diverges(graph.certificate)
     comp = graph.fair_scc()
     if comp is not None:
-        cert = graph.certificate_from_scc(comp)
+        try:
+            cert = graph.certificate_from_scc(comp)
+        except CertificateError as exc:
+            return Inconclusive(cfg.horizon, f"fair loop found but its certificate is rejected: {exc}")
         if cert is not None:
             return Diverges(cert)
         return Inconclusive(cfg.horizon, "fair loop found but no clean certificate entry")

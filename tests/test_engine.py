@@ -5,7 +5,7 @@ import pytest
 
 from lumirend.algorithms import builtin, enumerate_graphs
 from lumirend.core import LightGraph, MovementModel, SchedulerClass, destination, transition
-from lumirend.engine import IllegalOp, Simulation, run
+from lumirend.engine import IllegalOp, Simulation, TraceStep, run
 from lumirend.schedules import (
     Schedule,
     Slot,
@@ -414,3 +414,72 @@ def test_cycle_starts_match_the_reference():
             seen["idle move"] += any(start == land for _tb, _te, start, land, _a in tr._robots[i].moves)
             seen["cut move"] += bool(ops) and ops[-1] == "MB" and tr.rendezvous_time is not None
     assert all(seen.values()), seen
+
+
+# -- the rendezvous cut against a per-step reference -----------------------------
+
+
+def _reference_run(g, s, colors, distance, cls, movement, cut):
+    """`run` as it was before it reused each step's positions for the
+    rendezvous test: after every step the distance is read afresh, and the
+    robots meet when it is zero and no robot is committed to a displacing
+    move.  Returns the steps and the rendezvous time."""
+    simstate = Simulation(g, cls, movement, list(colors), (F(0), F(distance)))
+    slots = list(s.unroll())
+    me_time = {}  # (robot, MB time) -> the time of its ME
+    for robot in ROBOTS:
+        begun = None
+        for slot in slots:
+            if slot.ops[robot] == "MB":
+                begun = slot.time
+            elif slot.ops[robot] == "ME" and begun is not None:
+                me_time[(robot, begun)], begun = slot.time, None
+
+    def met(t):
+        d = abs(simstate.position_at(0, t) - simstate.position_at(1, t))
+        return d == 0 and not any(r.committed(g, t) for r in simstate.robots)
+
+    steps = []
+    if cut and met(0):
+        return steps, 0
+    for slot in slots:
+        t = slot.time
+        simstate.step(t, slot.ops, slot.fractions, tuple(me_time.get((r, t)) for r in ROBOTS))
+        lights = tuple(simstate.light_at(i, t + 1) for i in ROBOTS)
+        poss = tuple(simstate.position_at(i, t + 1) for i in ROBOTS)
+        steps.append(TraceStep(t, slot.ops, slot.fractions, lights, poss, abs(poss[0] - poss[1])))
+        if cut and met(t + 1):
+            return steps, t + 1
+    return steps, None
+
+
+def test_rendezvous_cut_matches_the_reference():
+    fractions = [F(0), F(1, 3), F(1, 2), F(1)]
+    lc = SchedulerClass.asynchronous(lc_atomic=True)
+    movements = (RIGID, MovementModel.non_rigid(F(1, 8)))
+    cases = []
+    for name in ("ss3", "qss4", "nonqss3", "ss5", "alg_b"):
+        g = builtin(name)
+        for colors in (("A", "A"), ("A", "B")):
+            for distance in (1, 0):
+                for movement in movements:
+                    cases += [(g, alt(horizon=12), colors, distance, lcmv(), movement),
+                              (g, sim(horizon=12), colors, distance, lcmv(), movement)]
+        for seed in range(8):
+            rng = random.Random(seed)
+            s = random_lc_atomic_schedule(rng, 30, fractions)
+            cases.append((g, s, (rng.choice(g.colors), rng.choice(g.colors)), 1, lc, movements[seed % 2]))
+    met = {"at 0": 0, "later": 0, "zero but committed": 0}
+    for case in cases:
+        for cut in (True, False):
+            tr = run(*case, stop_at_rendezvous=cut)
+            steps, when = _reference_run(*case, cut)
+            assert (tr.steps, tr.rendezvous_time) == (steps, when), (case, cut)
+            met["at 0"] += when == 0
+            met["later"] += bool(when)
+            # a cut run goes on past a step at distance zero only while a
+            # robot is committed to a move
+            met["zero but committed"] += cut and any(
+                st.distance_after == 0 and st.time + 1 != when for st in steps
+            )
+    assert all(met.values()), met

@@ -5,11 +5,21 @@ import pytest
 
 from lumirend.core import SchedulerClass
 from lumirend.schedules import (
+    _NEXT_PHASE,
+    ALL_OPS,
+    LOOK_OPS,
+    OP_COMP,
     OP_LC,
+    OP_LOOK,
     OP_M,
+    OP_MB,
+    OP_ME,
     OP_NONE,
+    ROBOTS,
+    LoopBlock,
     Schedule,
     Slot,
+    Violation,
     alt,
     block,
     check_fair,
@@ -136,3 +146,202 @@ def test_random_schedules_are_legal():
 def test_prefix_times_must_increase():
     with pytest.raises(ValueError):
         Schedule(prefix=(Slot(2, ("LC", "-")), Slot(2, ("-", "LC"))))
+
+
+# -- check_legal against the per-slot implementation it replaced ---------------
+
+
+def _ref_robot_ops(slots, robot):
+    return [(s.time, s.op_of(robot)) for s in slots if s.op_of(robot) != OP_NONE]
+
+
+def _ref_check_pattern(slots, robot):
+    phase = "idle"
+    for t, op in _ref_robot_ops(slots, robot):
+        key = (phase, op)
+        if key not in _NEXT_PHASE:
+            return [
+                Violation("cycle-order", robot, (t,), f"robot {robot}: op {op} illegal in phase {phase} at t={t}")
+            ]
+        phase = _NEXT_PHASE[key]
+    return []
+
+
+def _ref_windows(slots, robot, begin_op, end_op):
+    spans = []
+    open_t = None
+    for t, op in _ref_robot_ops(slots, robot):
+        if op == begin_op:
+            open_t = t
+        elif op == end_op and open_t is not None:
+            spans.append((open_t, t))
+            open_t = None
+    return spans
+
+
+def _ref_check_rounds(slots, cls):
+    problems = []
+    move_ticks = set()
+    lc_times = {0: [], 1: []}
+    for s in slots:
+        for robot in ROBOTS:
+            op = s.op_of(robot)
+            if op in (OP_LOOK, OP_COMP, OP_MB, OP_ME):
+                problems.append(
+                    Violation("round-structure", robot, (s.time,), f"{op} not allowed under {cls.kind}: cycles are atomic rounds")
+                )
+            elif op == OP_LC:
+                lc_times[robot].append(s.time)
+            elif op == OP_M:
+                move_ticks.add(s.time)
+    for robot in ROBOTS:
+        lc_set = set(lc_times[robot])
+        for t in (s.time for s in slots if s.op_of(robot) == OP_M):
+            if t - 1 not in lc_set:
+                problems.append(Violation("round-structure", robot, (t,), f"M at t={t} is not adjacent to its LC"))
+    for s in slots:
+        for robot in ROBOTS:
+            if s.op_of(robot) == OP_LC and s.time in move_ticks:
+                problems.append(
+                    Violation("round-structure", robot, (s.time,), f"Look at t={s.time} coincides with a move tick")
+                )
+    if cls.kind == "fsync" and lc_times[0] != lc_times[1]:
+        problems.append(Violation("round-structure", None, (), "FSYNC requires both robots in every round"))
+    return problems
+
+
+def _reference_check_legal(s, cls, periods=3):
+    """`check_legal` as it was before it read one (time, op) list per robot:
+    every helper rescans the unrolled slots."""
+    if s.loop is not None:
+        limit = (s.prefix[-1].time if s.prefix else 0) + periods * s.loop.period
+    else:
+        limit = s.prefix[-1].time if s.prefix else 0
+    slots = list(s.unroll(horizon=limit))
+    problems = []
+    for slot in slots:
+        for robot in ROBOTS:
+            op = slot.op_of(robot)
+            if op not in ALL_OPS:
+                problems.append(Violation("unknown-op", robot, (slot.time,), f"unknown op {op!r}"))
+            if op == OP_LC and not cls.lc_atomic:
+                problems.append(
+                    Violation("atomicity", robot, (slot.time,), "LC op requires an LC-atomic scheduler class")
+                )
+    for robot in ROBOTS:
+        problems.extend(_ref_check_pattern(slots, robot))
+    look_times = {r: [t for t, op in _ref_robot_ops(slots, r) if op in LOOK_OPS] for r in ROBOTS}
+    if cls.lc_atomic:
+        for robot in ROBOTS:
+            for a, b in _ref_windows(slots, robot, OP_LOOK, OP_COMP):
+                for t in look_times[1 - robot]:
+                    if a < t < b:
+                        problems.append(
+                            Violation("lc-window", 1 - robot, (a, t, b), f"Look at t={t} lands inside robot {robot}'s Look..Comp window ({a},{b})")
+                        )
+    if cls.move_atomic:
+        for robot in ROBOTS:
+            for a, b in _ref_windows(slots, robot, OP_MB, OP_ME):
+                for t in look_times[1 - robot]:
+                    if a < t < b:
+                        problems.append(
+                            Violation("move-window", 1 - robot, (a, t, b), f"Look at t={t} lands inside robot {robot}'s move window ({a},{b})")
+                        )
+    if cls.kind in ("fsync", "ssync"):
+        problems.extend(_ref_check_rounds(slots, cls))
+    return problems
+
+
+ALL_CLASSES = (
+    SchedulerClass.fsync(),
+    SchedulerClass.ssync(),
+    *(SchedulerClass.asynchronous(lc, mv) for lc in (False, True) for mv in (False, True)),
+)
+
+
+def _random_cycles(rng, horizon):
+    """Random cycles of every shape: Look..Comp or LC, then MB..ME, M or none."""
+    rows = {}
+    for robot in ROBOTS:
+        t = rng.randint(1, 3)
+        while t + 6 <= horizon:
+            if rng.random() < 0.5:
+                rows.setdefault(t, ["-", "-"])[robot] = "LC"
+            else:
+                rows.setdefault(t, ["-", "-"])[robot] = "LOOK"
+                t += rng.randint(1, 3)
+                rows.setdefault(t, ["-", "-"])[robot] = "COMP"
+            shape = rng.random()
+            if shape < 0.4:
+                t += rng.randint(1, 2)
+                rows.setdefault(t, ["-", "-"])[robot] = "MB"
+                t += rng.randint(1, 3)
+                rows.setdefault(t, ["-", "-"])[robot] = "ME"
+            elif shape < 0.8:
+                t += 1
+                rows.setdefault(t, ["-", "-"])[robot] = "M"
+            t += rng.randint(1, 3)
+    return [Slot(t, tuple(rows[t])) for t in sorted(rows)]
+
+
+def _put(slots, t, robot, op):
+    """Slots with robot's op at time t set to op (a slot is added if needed)."""
+    by_time = {s.time: list(s.ops) for s in slots}
+    by_time.setdefault(t, ["-", "-"])[robot] = op
+    return [Slot(u, tuple(by_time[u])) for u in sorted(by_time) if by_time[u] != ["-", "-"]]
+
+
+def _mutate(rng, slots):
+    """One random fault: swapped ops, a foreign Look inside a Look..Comp or an
+    MB..ME window, an M moved off its LC, or an unknown op."""
+    robot = rng.choice(ROBOTS)
+    mine = [s for s in slots if s.ops[robot] != "-"]
+    kind = rng.randrange(4)
+    if kind == 0 and len(mine) >= 2:
+        a, b = rng.sample(mine, 2)
+        return _put(_put(slots, a.time, robot, b.ops[robot]), b.time, robot, a.ops[robot])
+    if kind == 1:
+        windows = [
+            (a, b)
+            for begin, end in (("LOOK", "COMP"), ("MB", "ME"))
+            for a, b in _ref_windows(slots, robot, begin, end)
+            if b - a >= 2
+        ]
+        if windows:
+            a, b = rng.choice(windows)
+            return _put(slots, rng.randint(a + 1, b - 1), 1 - robot, rng.choice(("LOOK", "LC")))
+    if kind == 2:
+        ms = [s.time for s in mine if s.ops[robot] == "M"]
+        if ms:
+            t = rng.choice(ms)
+            return _put(_put(slots, t, robot, "-"), t + rng.randint(1, 2), robot, "M")
+    if mine:
+        return _put(slots, rng.choice(mine).time, robot, rng.choice(("X", "LC", "M", "MB", "ME", "LOOK", "COMP")))
+    return slots
+
+
+def test_check_legal_matches_the_reference():
+    rng = random.Random(0)
+    schedules = [alt(horizon=16), sim(horizon=16), mirror(alt(horizon=16))]
+    for seed in range(40):
+        schedules.append(random_lc_atomic_schedule(random.Random(seed), 30))
+        schedules.append(Schedule(prefix=tuple(_random_cycles(random.Random(seed), 30))))
+    for s in list(schedules):
+        slots = list(s.unroll(horizon=30 if s.loop is None else 3 * s.loop.period))
+        for _ in range(6):
+            slots = _mutate(rng, slots)
+            schedules.append(Schedule(prefix=tuple(slots)))
+        if s.loop is not None:  # a fault inside a repeating block
+            loop_slots = _mutate(rng, list(s.loop.slots))
+            if loop_slots and loop_slots[-1].time <= s.loop.period:
+                schedules.append(Schedule(loop=LoopBlock(s.loop.period, tuple(loop_slots)), horizon=16))
+    round_rules = ("not allowed under", "not adjacent to its LC", "coincides with a move tick", "both robots")
+    seen = set()
+    for s in schedules:
+        for cls in ALL_CLASSES:
+            got = check_legal(s, cls)
+            assert got == _reference_check_legal(s, cls), (s.to_json(), cls)
+            seen.update(v.kind for v in got)
+            seen.update(rule for v in got for rule in round_rules if rule in v.message)
+    # every kind of violation occurs, and so does each round-structure rule
+    assert {"unknown-op", "atomicity", "cycle-order", "lc-window", "move-window", *round_rules} <= seen

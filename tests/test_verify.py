@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from lumirend.algorithms import BadParameter, builtin, enumerate_graphs
 from lumirend.core import LightGraph, MovementModel, SchedulerClass
 from lumirend.engine import run
-from lumirend.schedules import Schedule, block, sim
+from lumirend.schedules import Schedule, Slot, block, random_lc_atomic_schedule, sim
 from lumirend.verify import (
     CertificateError,
     Diverges,
@@ -16,13 +17,16 @@ from lumirend.verify import (
     ScalingLoopCertificate,
     SearchConfig,
     SearchGraph,
+    _block_fair,
     _canonical_key,
     _key_movement,
+    _sanitize_block,
     check_contraction_pattern,
     check_rendezvous,
     check_stationary_partner,
     check_synchronous_contraction,
     classify_stabilization,
+    counterexample_names,
     detect_scaling_loop,
     missing_label_adversary,
     reachable_cs_color_pairs,
@@ -85,6 +89,69 @@ def test_detect_fixed_point_free_sim_loop():
 def test_no_certificate_on_converging_trace():
     tr = run(builtin("nonqss3"), sim(horizon=8), ("A", "A"), 1, LCMV, RIGID)
     assert detect_scaling_loop(tr) is None
+
+
+def _reference_detect_scaling_loop(trace):
+    """`detect_scaling_loop` as it was before it built configurations on
+    demand: every cycle-start configuration up front, and each candidate
+    block filtered from all steps."""
+    configs = [(t, trace.configuration_at(t)) for t in trace.cs_times()]
+    for i, (ti, ci) in enumerate(configs):
+        if ci.d <= 0:
+            continue
+        for tj, cj in configs[i + 1 :]:
+            if cj.d <= 0 or cj.d > ci.d:
+                continue
+            swap = cj.pair == (ci.c_s, ci.c_r) and ci.c_r != ci.c_s
+            if not (swap or cj.pair == ci.pair):
+                continue
+            raw = [Slot(s.time, s.ops, s.fractions) for s in trace.steps if ti <= s.time < tj]
+            blk = _sanitize_block(raw)
+            if not blk or not _block_fair(blk):
+                continue
+            cert = ScalingLoopCertificate(
+                trace.graph, trace.scheduler, trace.movement, ci.pair, ci.d, blk, cj.d / ci.d, swap
+            )
+            try:
+                validate_certificate(cert)
+                return cert
+            except CertificateError:
+                continue
+    return None
+
+
+def _detection_traces():
+    fractions = [F(0), F(1, 3), F(1, 2), F(1)]
+    lc = SchedulerClass.asynchronous(lc_atomic=True)
+    for seed in range(16):
+        g = builtin(("ss3", "qss4", "nonqss3", "ss5")[seed % 4])
+        s = random_lc_atomic_schedule(random.Random(seed), 30, fractions)
+        for movement in (RIGID, MovementModel.non_rigid(F(1, 8))):
+            yield run(g, s, ("A", "B"), 1, lc, movement)
+    for name in counterexample_names():
+        yield replay_paper_counterexample(name, F(1, 2)).trace
+    yield replay_paper_counterexample("lemma9_1", 0).trace
+    yield replay_paper_counterexample("lemma9_2", 1).trace
+    jobs = [
+        (g, start, lam)
+        for g in enumerate_graphs(3, (F(0), F(1, 2), F(1)))
+        for start, labels in structural_check(g).per_start_missing.items()
+        for lam in labels
+    ]
+    for g, start, lam in random.Random(0).sample(jobs, 60):
+        yield missing_label_adversary(g, start, lam)[1]
+
+
+def test_detect_scaling_loop_matches_the_reference():
+    found = {True: 0, False: 0}  # by whether the trace has a split move
+    traces = 0
+    for trace in _detection_traces():
+        got, want = detect_scaling_loop(trace), _reference_detect_scaling_loop(trace)
+        assert (got and got.to_json()) == (want and want.to_json()), trace.to_jsonl()
+        traces += 1
+        found[any("MB" in s.ops for s in trace.steps)] += got is not None
+    # certificates on traces with and without split moves, and none on some
+    assert found[True] and found[False] and sum(found.values()) < traces
 
 
 # -- certificates ---------------------------------------------------------------
@@ -204,6 +271,7 @@ def test_search_state_cap_reports_its_own_reason():
 
 
 NO_CLEAN_ENTRY = "fair loop found but no clean certificate entry"
+REJECTED = "fair loop found but its certificate is rejected: "
 
 
 def _reference_search(g, cfg, colors, distance):
@@ -213,7 +281,10 @@ def _reference_search(g, cfg, colors, distance):
     graph = SearchGraph(g, cfg, initial)
     comp = graph.fair_scc()
     if comp is not None:
-        cert = graph.certificate_from_scc(comp)
+        try:
+            cert = graph.certificate_from_scc(comp)
+        except CertificateError as exc:
+            return Inconclusive(cfg.horizon, REJECTED + str(exc))
         return Diverges(cert) if cert is not None else Inconclusive(cfg.horizon, NO_CLEAN_ENTRY)
     if graph.capped:
         return Inconclusive(cfg.horizon, f"open branches remain; state cap of {cfg.max_states} reached")
@@ -225,7 +296,8 @@ def _reference_search(g, cfg, colors, distance):
 def test_early_stop_agrees_with_the_full_graph():
     # a search may stop at a doubling depth only on a validated certificate:
     # every verdict of the full graph stands, except that a fair loop without
-    # a clean entry may give way to a certificate found in a partial graph
+    # a clean entry, or with a rejected certificate, may give way to a
+    # certificate found in a partial graph
     halves = (F(0), F(1, 2), F(1))
     graphs = list(enumerate_graphs(2, halves)) + [
         builtin(name) for name in ("ss3", "alg_b", "nonqss3", "qss4", "ss5")
@@ -246,11 +318,39 @@ def test_early_stop_agrees_with_the_full_graph():
                 if isinstance(got, Diverges):
                     validate_certificate(got.certificate)
                     if want.kind != "diverges":
-                        assert want.reason == NO_CLEAN_ENTRY, (g, cfg, colors)
+                        assert want.reason == NO_CLEAN_ENTRY or want.reason.startswith(REJECTED), (
+                            g, cfg, colors
+                        )
                         continue
                 assert (got.kind, getattr(got, "reason", None)) == (
                     want.kind, getattr(want, "reason", None)
                 ), (g, cfg, colors)
+
+
+def test_rejected_certificate_is_reported_as_such():
+    # an expanding loop: from A,A each SSYNC round moves both robots by -1/2
+    # toward each other, doubling the distance; the start state is a clean
+    # entry, and the certificate of its loop has ratio 2
+    g = LightGraph.build("AB", {"A": ("A", "-1/2"), "B": ("A", "-1/2")})
+    verdict = search_one(g, SearchConfig(8, SchedulerClass.ssync(), RIGID), ("A", "A"), 1)
+    assert verdict == Inconclusive(8, REJECTED + "ratio 2 outside (0, 1]")
+
+
+
+def test_fair_loop_without_a_clean_entry_keeps_its_reason(monkeypatch):
+    # no graph searched in the tests has a fair SCC without a clean member,
+    # so the search is handed one: the non-rendezvous states with a move
+    # pending, none of which is clean
+    g = LightGraph.build("AB", {"A": ("A", "-1/2"), "B": ("A", "-1/2")})
+    cfg = SearchConfig(4, LC, RIGID)
+
+    def unclean(graph):
+        return [k for k, n in graph.nodes.items() if not n.rendezvous and any(n.rep[1])]
+
+    graph = SearchGraph(g, cfg, (("A", "A"), (None, None), (F(0), F(1))))
+    assert unclean(graph) and graph.certificate_from_scc(unclean(graph)) is None
+    monkeypatch.setattr(SearchGraph, "fair_scc", unclean)
+    assert search_one(g, cfg, ("A", "A"), 1, prepass=False) == Inconclusive(4, NO_CLEAN_ENTRY)
 
 
 def test_search_stops_at_the_first_certified_depth(monkeypatch):
