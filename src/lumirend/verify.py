@@ -17,11 +17,14 @@ also runs on the partial graph at depths 1, 2, 4, 8, ..., so a search stops
 at the first of them whose fair cycle yields a certificate.
 
 At the search level a round has one step function, `_step`: the search
-expands states with it, certificate extraction re-walks a fair cycle with
-it, and the missing-label adversaries play their rounds with it.  The engine
-(`run`) stays the reference semantics: every certificate is validated by
-replaying its block through the engine, so a search step that ever disagreed
-with the engine would lose a certificate, never forge one.
+expands states with it, and certificate extraction re-walks a fair cycle
+with it.  The engine (`run`) stays the reference semantics: every
+certificate is validated by replaying its block through the engine, so a
+search step that ever disagreed with the engine would lose a certificate,
+never forge one.
+
+The missing-label adversaries are policies over the lights, and the engine
+is their only simulation.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ from .core import (
     transition,
     truncate_move,
 )
-from .engine import ConfigurationView, EngineError, Trace, run
+from . import schedules as sched
+from .engine import ConfigurationView, EngineError, IllegalSchedule, Trace, run
 from .schedules import (
     OP_LC,
     OP_LOOK,
@@ -164,18 +168,24 @@ def _block_fair(slots: Sequence[Slot]) -> bool:
     return all(any(s.op_of(r) in (OP_LOOK, OP_LC) for s in slots) for r in ROBOTS)
 
 
-def _replay_block(cert: ScalingLoopCertificate, colors, distance, swapped: bool) -> ConfigurationView:
-    slots = cert.schedule_block
-    if swapped:
-        slots = mirror(Schedule(prefix=slots)).prefix
+def _check_block(cert: ScalingLoopCertificate, schedule: Schedule) -> None:
+    """Raise the engine's rejection of an illegal block, as `run` would."""
+    violations = sched.check_legal(schedule, cert.scheduler)
+    if violations:
+        raise CertificateError(f"the engine rejects the block: {IllegalSchedule(violations)}")
+
+
+def _replay_block(cert: ScalingLoopCertificate, schedule: Schedule, colors, distance) -> ConfigurationView:
+    """Run a block that `_check_block` accepted and return its end state."""
     try:
         trace = run(
             cert.graph,
-            Schedule(prefix=slots),
+            schedule,
             colors,
             distance,
             cert.scheduler,
             cert.movement,
+            check=False,
             stop_at_rendezvous=True,
         )
     except EngineError as exc:
@@ -197,14 +207,20 @@ def validate_certificate(cert: ScalingLoopCertificate) -> None:
     c_r, c_s = cert.entry_colors
     d0 = cert.entry_distance
     # first traversal from the entry configuration
-    end1 = _replay_block(cert, (c_r, c_s), d0, swapped=False)
+    schedule = cert.block_schedule()
+    _check_block(cert, schedule)
+    end1 = _replay_block(cert, schedule, (c_r, c_s), d0)
     want1 = (c_s, c_r) if cert.swap else (c_r, c_s)
     if end1.pair != want1 or end1.d != cert.ratio * d0:
         raise CertificateError(
             f"first replay gave {end1.pair} at {end1.d}, expected {want1} at {cert.ratio * d0}"
         )
-    # second traversal closes the loop: mirrored block for a swap recurrence
-    end2 = _replay_block(cert, end1.pair, end1.d, swapped=cert.swap)
+    # second traversal closes the loop: mirrored block for a swap recurrence;
+    # the unmirrored block is the one checked above
+    if cert.swap:
+        schedule = mirror(schedule)
+        _check_block(cert, schedule)
+    end2 = _replay_block(cert, schedule, end1.pair, end1.d)
     if end2.pair != (c_r, c_s):
         raise CertificateError("second replay does not restore the entry pair")
     if end2.d != cert.ratio * end1.d:
@@ -260,42 +276,49 @@ def _sanitize_block(slots: list[Slot]) -> tuple[Slot, ...]:
 def detect_scaling_loop(trace: Trace) -> ScalingLoopCertificate | None:
     """Find a replay-validated scaling loop among the trace's cycle-start
     configurations: a color-pair recurrence (up to robot swap) with the
-    distance scaled by a constant rational ratio in (0, 1]."""
-    cs = trace.cs_times()
-    configs: list[ConfigurationView] = []  # of cs[0], cs[1], ...; built as the pairs reach them
+    distance scaled by a constant rational ratio in (0, 1].
 
-    def config(k: int) -> ConfigurationView:
-        while len(configs) <= k:
-            configs.append(trace.configuration_at(cs[len(configs)]))
-        return configs[k]
+    Pairs (i, j) of cycle starts are tried in order.  Colors are compared
+    first; a distance is computed only for the cycle starts of a pair whose
+    colors recur."""
+    cs = trace.cs_times()
+    pairs = [(trace.light_at(0, t), trace.light_at(1, t)) for t in cs]
+    distances: list[Fraction | None] = [None] * len(cs)
+
+    def distance(k: int) -> Fraction:
+        if distances[k] is None:
+            distances[k] = trace.distance_at(cs[k])
+        return distances[k]
 
     steps = trace.steps
     step_time = attrgetter("time")
     for i, ti in enumerate(cs):
-        ci = config(i)
-        if ci.d <= 0:
-            continue
+        pi = pairs[i]
+        mirrored = (pi[1], pi[0])
         for j in range(i + 1, len(cs)):
-            cj = config(j)
-            if cj.d <= 0 or cj.d > ci.d:
+            pj = pairs[j]
+            swap = pj == mirrored and pi[0] != pi[1]
+            if not (swap or pj == pi):
                 continue
-            swap = cj.pair == (ci.c_s, ci.c_r) and ci.c_r != ci.c_s
-            if not (swap or cj.pair == ci.pair):
+            di = distance(i)
+            if di <= 0:
+                break
+            dj = distance(j)
+            if dj <= 0 or dj > di:
                 continue
             lo = bisect_left(steps, ti, key=step_time)
             hi = bisect_left(steps, cs[j], lo, key=step_time)
             blk = _sanitize_block([Slot(s.time, s.ops, s.fractions) for s in steps[lo:hi]])
             if not blk or not _block_fair(blk):
                 continue
-            ratio = cj.d / ci.d
             cert = ScalingLoopCertificate(
                 graph=trace.graph,
                 scheduler=trace.scheduler,
                 movement=trace.movement,
-                entry_colors=ci.pair,
-                entry_distance=ci.d,
+                entry_colors=pi,
+                entry_distance=di,
                 schedule_block=blk,
-                ratio=ratio,
+                ratio=dj / di,
                 swap=swap,
             )
             try:
@@ -901,12 +924,6 @@ def structural_check(g: LightGraph) -> StructuralReport:
     return StructuralReport(frozenset(g.labels()), per_start)
 
 
-# the missing-label adversaries play SSYNC rounds under rigid movement; only
-# the step semantics of this config are used, the adversary's own horizon
-# bounds its rounds
-_ADVERSARY_CFG = SearchConfig(1, SchedulerClass.ssync(), MovementModel.rigid())
-
-
 def missing_label_adversary(
     g: LightGraph, start: str, missing: Fraction, horizon: int = 40, distance=1
 ) -> tuple[Schedule, Trace, ScalingLoopCertificate | None]:
@@ -918,29 +935,40 @@ def missing_label_adversary(
     alternate, but activate both robots in any round whose mover would follow
     a full-jump edge, so the jump is always answered by a departure.
 
-    The adversary is a policy over the search's step function: each round it
-    picks the actor set and plays it with `_step` (rigid moves, so the move
-    fractions stay unset), stopping at rendezvous.  The engine then runs the
-    schedule once to produce the returned trace and look for a certificate,
-    which `detect_scaling_loop` validates by replay.
+    The adversary is a policy over the lights alone, since an algorithm's
+    next color and label depend only on the color its robot observes.  A
+    round is an LC row for its actors, then an M row for each actor whose
+    label is non-zero: the robots stand apart at every round start, so
+    exactly these move.  The engine is the only simulation: it runs all
+    `horizon` rounds once, stopping at rendezvous, and the executed prefix is
+    the returned schedule (empty for robots that start together).
+    `detect_scaling_loop` then looks for a certificate on the trace.
     """
-    state: _State = ((start, start), (None, None), (Fraction(0), rational(distance)))
-    rows: list[tuple] = []
+    if missing not in _REQUIRED:
+        raise ValueError(f"missing must be one of the labels 1/2, 1 and 0, not {missing}")
+    together, answer_jumps = missing == Fraction(1, 2), missing == 0
+    lights = [start, start]
+    rows: list[tuple[str, str]] = []
     parity = 0
     for _round in range(horizon):
-        if missing == Fraction(1, 2):
-            actors = (0, 1)
+        if together:
+            actors: tuple[int, ...] = ROBOTS
         else:
-            _nl, lam = transition(g, state[0][1 - parity])
-            actors = (0, 1) if missing == Fraction(0) and lam == 1 else (parity,)
+            _nl, lam = transition(g, lights[1 - parity])
+            actors = ROBOTS if answer_jumps and lam == 1 else (parity,)
             parity = 1 - parity
-        slots, _completions, state = _step(state, g, _ADVERSARY_CFG, dict.fromkeys(actors))
-        rows += slots
-        if _is_rendezvous_state(state):
-            break
-    schedule = Schedule(prefix=_timed(rows))
-    trace = run(g, schedule, (start, start), distance, _ADVERSARY_CFG.scheduler, _ADVERSARY_CFG.movement)
-    return schedule, trace, detect_scaling_loop(trace)
+        # every actor reads the lights before the round's writes
+        edges = {i: transition(g, lights[1 - i]) for i in actors}
+        for i, (light, _lam) in edges.items():
+            lights[i] = light
+        rows.append(tuple(OP_LC if i in edges else OP_NONE for i in ROBOTS))
+        moves = tuple(OP_M if i in edges and edges[i][1] != 0 else OP_NONE for i in ROBOTS)
+        if OP_M in moves:
+            rows.append(moves)
+    schedule = Schedule(prefix=tuple(Slot(t, ops) for t, ops in enumerate(rows, 1)))
+    trace = run(g, schedule, (start, start), distance, SchedulerClass.ssync(), MovementModel.rigid())
+    executed = Schedule(prefix=schedule.prefix[: len(trace.steps)])
+    return executed, trace, detect_scaling_loop(trace)
 
 
 # ---------------------------------------------------------------------------

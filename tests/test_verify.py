@@ -1,14 +1,17 @@
+import dataclasses
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from lumirend import schedules
 from lumirend.algorithms import BadParameter, builtin, enumerate_graphs
-from lumirend.core import LightGraph, MovementModel, SchedulerClass
-from lumirend.engine import run
-from lumirend.schedules import Schedule, Slot, block, random_lc_atomic_schedule, sim
+from lumirend.core import LightGraph, MovementModel, SchedulerClass, transition
+from lumirend.engine import IllegalSchedule, run
+from lumirend.schedules import Schedule, Slot, block, mirror, random_lc_atomic_schedule, sim
 from lumirend.verify import (
     CertificateError,
     Diverges,
@@ -19,8 +22,11 @@ from lumirend.verify import (
     SearchGraph,
     _block_fair,
     _canonical_key,
+    _is_rendezvous_state,
     _key_movement,
     _sanitize_block,
+    _step,
+    _timed,
     check_contraction_pattern,
     check_rendezvous,
     check_stationary_partner,
@@ -91,18 +97,20 @@ def test_no_certificate_on_converging_trace():
     assert detect_scaling_loop(tr) is None
 
 
-def _reference_detect_scaling_loop(trace):
+def _reference_detect_scaling_loop(trace, dropped=None):
     """`detect_scaling_loop` as it was before it built configurations on
     demand: every cycle-start configuration up front, and each candidate
-    block filtered from all steps."""
+    block filtered from all steps.  `dropped` collects why a color recurrence
+    it reached failed the distance filter: "zero" for a distance 0, "larger"
+    for a later distance above the entry's."""
     configs = [(t, trace.configuration_at(t)) for t in trace.cs_times()]
     for i, (ti, ci) in enumerate(configs):
-        if ci.d <= 0:
-            continue
         for tj, cj in configs[i + 1 :]:
-            if cj.d <= 0 or cj.d > ci.d:
-                continue
             swap = cj.pair == (ci.c_s, ci.c_r) and ci.c_r != ci.c_s
+            if ci.d <= 0 or cj.d <= 0 or cj.d > ci.d:
+                if dropped is not None and (swap or cj.pair == ci.pair):
+                    dropped.add("larger" if cj.d > ci.d > 0 else "zero")
+                continue
             if not (swap or cj.pair == ci.pair):
                 continue
             raw = [Slot(s.time, s.ops, s.fractions) for s in trace.steps if ti <= s.time < tj]
@@ -140,18 +148,26 @@ def _detection_traces():
     ]
     for g, start, lam in random.Random(0).sample(jobs, 60):
         yield missing_label_adversary(g, start, lam)[1]
+    # colors that recur at distance 0: after a meeting the run does not stop at
+    yield run(builtin("nonqss3"), sim(horizon=12), ("A", "A"), 1, LCMV, RIGID, stop_at_rendezvous=False)
+    # colors that recur at a larger distance: each round doubles the distance
+    expanding = LightGraph.build("AB", {"A": ("A", "-1/2"), "B": ("A", "-1/2")})
+    yield run(expanding, sim(horizon=8), ("A", "A"), 1, SchedulerClass.ssync(), RIGID)
 
 
 def test_detect_scaling_loop_matches_the_reference():
     found = {True: 0, False: 0}  # by whether the trace has a split move
     traces = 0
+    dropped: set[str] = set()
     for trace in _detection_traces():
-        got, want = detect_scaling_loop(trace), _reference_detect_scaling_loop(trace)
+        got, want = detect_scaling_loop(trace), _reference_detect_scaling_loop(trace, dropped)
         assert (got and got.to_json()) == (want and want.to_json()), trace.to_jsonl()
         traces += 1
         found[any("MB" in s.ops for s in trace.steps)] += got is not None
     # certificates on traces with and without split moves, and none on some
     assert found[True] and found[False] and sum(found.values()) < traces
+    # color recurrences that the distance filter drops, of both kinds
+    assert dropped == {"zero", "larger"}
 
 
 # -- certificates ---------------------------------------------------------------
@@ -183,6 +199,43 @@ def test_certificate_rejects_bad_ratio():
     )
     with pytest.raises(CertificateError):
         validate_certificate(bad)
+
+
+def _count_check_legal(monkeypatch) -> list:
+    calls = []
+    check_legal = schedules.check_legal
+
+    def counting(schedule, cls, *args):
+        calls.append(schedule)
+        return check_legal(schedule, cls, *args)
+
+    monkeypatch.setattr(schedules, "check_legal", counting)
+    return calls
+
+
+def test_validation_checks_each_distinct_block_once(monkeypatch):
+    swapped = replay_paper_counterexample("lemma6_alg_a").verdict.certificate
+    plain = replay_paper_counterexample("lemma9_1", F(1, 2)).verdict.certificate
+    assert swapped.swap and not plain.swap
+    calls = _count_check_legal(monkeypatch)
+    validate_certificate(plain)
+    assert calls == [plain.block_schedule()]
+    calls.clear()
+    # the second replay of a swap recurrence runs the mirrored block
+    validate_certificate(swapped)
+    assert calls == [swapped.block_schedule(), mirror(swapped.block_schedule())]
+
+
+def test_validation_rejects_an_illegal_block_as_the_engine_does():
+    cert = replay_paper_counterexample("lemma6_alg_a").verdict.certificate
+    # robot 0 moves before it has computed a destination
+    blk = block([("M", "-"), ("LC", "LC"), ("M", "M")])
+    with pytest.raises(IllegalSchedule) as engine:
+        run(cert.graph, Schedule(prefix=blk), cert.entry_colors, cert.entry_distance,
+            cert.scheduler, cert.movement)
+    with pytest.raises(CertificateError) as rejected:
+        validate_certificate(dataclasses.replace(cert, schedule_block=blk))
+    assert str(rejected.value) == f"the engine rejects the block: {engine.value}"
 
 
 # -- published counterexamples ----------------------------------------------------
@@ -490,6 +543,70 @@ def test_missing_label_adversary_defeats_missing_label(edges, start, missing):
     _schedule, _trace, cert = missing_label_adversary(g, start, missing)
     assert cert is not None
     validate_certificate(cert)
+
+
+def _reference_missing_label_adversary(g, start, missing, horizon=40, distance=1):
+    """`missing_label_adversary` as it was when it played its rounds on exact
+    positions with the search's `_step`, stopping at a rendezvous state, and
+    then ran the engine on the rounds it had played."""
+    cfg = SearchConfig(1, SchedulerClass.ssync(), RIGID)
+    state = ((start, start), (None, None), (F(0), F(distance)))
+    rows = []
+    parity = 0
+    for _round in range(horizon):
+        if missing == F(1, 2):
+            actors = (0, 1)
+        else:
+            _nl, lam = transition(g, state[0][1 - parity])
+            actors = (0, 1) if missing == F(0) and lam == 1 else (parity,)
+            parity = 1 - parity
+        slots, _completions, state = _step(state, g, cfg, dict.fromkeys(actors))
+        rows += slots
+        if _is_rendezvous_state(state):
+            break
+    schedule = Schedule(prefix=_timed(rows))
+    trace = run(g, schedule, (start, start), distance, cfg.scheduler, cfg.movement)
+    return schedule, trace, detect_scaling_loop(trace)
+
+
+HALVES = (F(0), F(1, 2), F(1))
+
+
+def test_missing_label_adversary_matches_the_reference():
+    # every policy from every start, whether or not its label is missing
+    graphs = list(enumerate_graphs(2, HALVES))
+    graphs += random.Random(3).sample(list(enumerate_graphs(3, HALVES)), 4)
+    cut = {True: 0, False: 0}  # runs by whether a rendezvous ended them
+    for g in graphs:
+        for start, missing, horizon, d in product(g.colors, HALVES, (1, 2, 7, 40), (F(1), F(1, 3))):
+            outputs = []
+            for adversary in (missing_label_adversary, _reference_missing_label_adversary):
+                schedule, trace, cert = adversary(g, start, missing, horizon, d)
+                # equal dataclasses serialize equally: schedule and certificate
+                # JSON are compared through their fields, which is cheaper
+                outputs.append((schedule, trace.to_jsonl(), trace.rendezvous_time, trace.cs_times(), cert))
+            assert outputs[0] == outputs[1], (g.to_json(), start, missing, horizon, d)
+            cut[trace.rendezvous_time is not None] += 1
+    assert cut[True] and cut[False]
+
+
+def test_missing_label_adversary_from_distance_zero():
+    # robots that start together have met at time 0: the engine runs no slot,
+    # so the schedule is empty (the former adversary returned the one round
+    # it had played, unexecuted)
+    g = LightGraph.build("AB", {"A": ("B", "1/2"), "B": ("A", "1/2")})
+    for missing in HALVES:
+        schedule, trace, cert = missing_label_adversary(g, "A", missing, distance=0)
+        assert schedule == Schedule() and cert is None
+        assert trace.rendezvous_time == 0 and trace.steps == []
+        old_schedule, old_trace, _ = _reference_missing_label_adversary(g, "A", missing, distance=0)
+        assert len(old_schedule.prefix) == 1 and old_trace.to_jsonl() == ""
+
+
+def test_missing_label_adversary_rejects_other_labels():
+    g = LightGraph.build("AB", {"A": ("B", "1/2"), "B": ("A", "1/2")})
+    with pytest.raises(ValueError, match="1/2, 1 and 0"):
+        missing_label_adversary(g, "A", F(1, 3))
 
 
 # -- reachable pairs ------------------------------------------------------------------
