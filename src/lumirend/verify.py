@@ -18,10 +18,14 @@ at the first of them whose fair cycle yields a certificate.
 
 At the search level a round has one step function, `_step`: the search
 expands states with it, and certificate extraction re-walks a fair cycle
-with it.  The engine (`run`) stays the reference semantics: every
-certificate is validated by replaying its block through the engine, so a
-search step that ever disagreed with the engine would lose a certificate,
-never forge one.
+with it.  Each robot's half-step at a state (its LC's new light and
+destination, or the M of its pending destination) is worked out once, by
+`_plan`, and `_step` combines the actors' plans for every adversary choice.
+States are merged by `_canonical_key`, which translates, reflects and
+scales in integers over a common denominator.  The engine (`run`) stays the
+reference semantics: every certificate is validated by replaying its block
+through the engine, so a search step that ever disagreed with the engine
+would lose a certificate, never forge one.
 
 The missing-label adversaries are policies over the lights, and the engine
 is their only simulation.
@@ -34,6 +38,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -427,11 +432,21 @@ class SearchConfig:
             raise ValueError("horizon must be at least 1")
         if self.scheduler.kind == ASYNC and not self.scheduler.lc_atomic:
             raise ValueError("the game search explores the LC-atomic fragment only")
+        # with no choice a long non-rigid move would vanish from the game
+        if not self.fraction_choices:
+            raise ValueError("fraction_choices must hold at least one fraction")
+        for frac in self.fraction_choices:
+            if not 0 <= frac <= 1:
+                raise ValueError(f"fraction choice {frac} outside [0, 1]")
 
 
 # an abstract search state: visible lights, per-robot pending destination
 # (None when idle), absolute positions
 _State = tuple[tuple[str, str], tuple[Fraction | None, Fraction | None], tuple[Fraction, Fraction]]
+
+# the fraction of every rigid or short move: a full move, which lands on its
+# destination under either movement model
+_FULL = Fraction(1)
 
 
 def _is_rendezvous_state(state: _State) -> bool:
@@ -451,10 +466,24 @@ def _key_movement(g: LightGraph, movement: MovementModel) -> MovementModel | Non
 
 
 def _canonical_key(state: _State, movement: MovementModel | None):
-    lights, pendings, positions = state
-    base = positions[0]
-    pos1 = positions[1] - base
-    pend = [None if p is None else p - base for p in pendings]
+    """The state up to translation, reflection and scale, as
+    (lights, pending 0, pending 1, position 1) with each coordinate a reduced
+    (numerator, denominator) pair or None.
+
+    The coordinates are brought to a common denominator, so translating,
+    reflecting and scaling are integer operations, and each coordinate is
+    reduced with one gcd at the end."""
+    lights, pendings, (p0, p1) = state
+    q0, q1 = pendings
+    den = lcm(
+        p0.denominator,
+        p1.denominator,
+        1 if q0 is None else q0.denominator,
+        1 if q1 is None else q1.denominator,
+    )
+    base = p0.numerator * (den // p0.denominator)
+    pos1 = p1.numerator * (den // p1.denominator) - base
+    pend = [None if q is None else q.numerator * (den // q.denominator) - base for q in pendings]
     # reflect so that the first nonzero coordinate is positive
     for c in (pos1, *pend):
         if c:
@@ -462,32 +491,56 @@ def _canonical_key(state: _State, movement: MovementModel | None):
                 pos1 = -pos1
                 pend = [None if p is None else -p for p in pend]
             break
-    divisor = None
+    # each coordinate c becomes c * mul / div
+    mul, div = 1, den
     if movement is None:
         pass
     elif movement.kind == RIGID and pos1 > 0:
-        divisor = pos1
+        div = pos1
     else:
         everything = [0, pos1] + [p for p in pend if p is not None]
         span = max(everything) - min(everything)
         if movement.kind == RIGID:
             if span > 0:
-                divisor = span
-        elif 0 < span <= movement.delta:
-            divisor = span / movement.delta
-    if divisor is not None and divisor != 1:
-        pos1 /= divisor
-        pend = [None if p is None else p / divisor for p in pend]
+                div = span
+        elif span > 0:
+            # span / den <= delta, then divide by span / delta
+            delta = movement.delta
+            if span * delta.denominator <= delta.numerator * den:
+                mul, div = delta.numerator, span * delta.denominator
 
-    def enc(q):
-        return None if q is None else (q.numerator, q.denominator)
+    def enc(c):
+        if c is None:
+            return None
+        c *= mul
+        k = gcd(c, div)
+        return (c // k, div // k)
 
     return (lights, enc(pend[0]), enc(pend[1]), enc(pos1))
 
 
-def _step(state: _State, g: LightGraph, cfg: SearchConfig, frac_of: dict):
+def _plan(state: _State, g: LightGraph, rounds: bool, i: int) -> tuple[str | None, Fraction | None]:
+    """Robot i's half-step, should it act at the next time instant:
+    (new light, destination).
+
+    Under FSYNC/SSYNC (`rounds`) and for an idle robot under the LC-atomic
+    asynchronous class it performs LC: the new light is its edge's target and
+    the destination that edge's move, None when it stays put.  A robot with a
+    pending destination performs its M: the light is None and the
+    destination the pending one."""
+    lights, pendings, positions = state
+    if rounds or pendings[i] is None:
+        light, lam = transition(g, lights[1 - i])
+        dest = destination(positions[i], positions[1 - i], lam)
+        return light, None if dest == positions[i] else dest
+    return None, pendings[i]
+
+
+def _step(state: _State, g: LightGraph, cfg: SearchConfig, frac_of: dict, plans=None):
     """One adversary choice at the next time instant: the robots keyed in
-    `frac_of` act, each move stopped by its fraction (None is a full move).
+    `frac_of` act, each move stopped by its fraction (None or `_FULL` is a
+    full move).  `plans` holds each actor's `_plan`; it is worked out here
+    when not given.
 
     Under FSYNC/SSYNC an actor runs a whole round, an LC row then, if it
     moves, an M row.  Under the LC-atomic asynchronous class an idle actor
@@ -496,32 +549,35 @@ def _step(state: _State, g: LightGraph, cfg: SearchConfig, frac_of: dict):
     """
     lights, pendings, positions = state
     rounds = cfg.scheduler.kind in (FSYNC, SSYNC)
+    if plans is None:
+        plans = [_plan(state, g, rounds, i) if i in frac_of else None for i in ROBOTS]
     new_lights = list(lights)
     new_pend = list(pendings)
     new_pos = list(positions)
-    completions = set()
+    completions = []
     ops = [OP_NONE, OP_NONE]
     move_row = [OP_NONE, OP_NONE]
     move_fracs: list[Fraction | None] = [None, None]
     for i, frac in frac_of.items():
-        if rounds or pendings[i] is None:
-            nl, lam = transition(g, lights[1 - i])
-            new_lights[i] = nl
+        light, dest = plans[i]
+        if light is not None:
+            new_lights[i] = light
             ops[i] = OP_LC
-            dest = destination(positions[i], positions[1 - i], lam)
-            if dest == positions[i]:
-                completions.add(i)
+            if dest is None:
+                completions.append(i)
                 continue
             if not rounds:
                 new_pend[i] = dest
                 continue
         else:
-            dest, new_pend[i] = pendings[i], None
-        # a full move lands on its destination under either movement model
-        new_pos[i] = dest if frac is None else truncate_move(positions[i], dest, cfg.movement, frac)
+            new_pend[i] = None
+        if frac is None or frac is _FULL:
+            new_pos[i] = dest
+        else:
+            new_pos[i] = truncate_move(positions[i], dest, cfg.movement, frac)
         (move_row if rounds else ops)[i] = OP_M
         move_fracs[i] = frac
-        completions.add(i)
+        completions.append(i)
     if not rounds:
         slots = [(tuple(ops), tuple(move_fracs))]
     else:
@@ -540,28 +596,24 @@ def _timed(rows) -> tuple[Slot, ...]:
 def _search_children(state: _State, g: LightGraph, cfg: SearchConfig):
     """Yield `_step`'s (slots, completions, child_state) for every adversary
     choice at the next time instant: every actor set, and every fraction
-    choice for each actor whose non-rigid move is longer than delta."""
-    lights, pendings, positions = state
+    choice for each actor whose non-rigid move at this instant is longer
+    than delta.  Each robot's `_plan` is worked out once and shared by all
+    the choices."""
+    positions = state[2]
     rounds = cfg.scheduler.kind in (FSYNC, SSYNC)
-    if cfg.scheduler.kind == FSYNC:
-        actor_sets: list[tuple[int, ...]] = [(0, 1)]
-    else:
-        actor_sets = [(0,), (1,), (0, 1)]
-
+    movement = cfg.movement
+    plans = [_plan(state, g, rounds, i) for i in ROBOTS]
+    choices = [(_FULL,), (_FULL,)]
+    if movement.kind != RIGID:
+        for i, (light, dest) in enumerate(plans):
+            # an asynchronous LC only sets the pending destination
+            moves = dest is not None and (rounds or light is None)
+            if moves and abs(dest - positions[i]) > movement.delta:
+                choices[i] = cfg.fraction_choices
+    actor_sets = ((0, 1),) if cfg.scheduler.kind == FSYNC else ((0,), (1,), (0, 1))
     for actors in actor_sets:
-        per_actor_fracs = []
-        for i in actors:
-            long_move = False
-            if cfg.movement.kind != RIGID:
-                if rounds:
-                    _nl, lam = transition(g, lights[1 - i])
-                    target = destination(positions[i], positions[1 - i], lam)
-                else:
-                    target = pendings[i]
-                long_move = target is not None and abs(target - positions[i]) > cfg.movement.delta
-            per_actor_fracs.append(tuple(cfg.fraction_choices) if long_move else (Fraction(1),))
-        for fracs in product(*per_actor_fracs):
-            yield _step(state, g, cfg, dict(zip(actors, fracs)))
+        for fracs in product(*(choices[i] for i in actors)):
+            yield _step(state, g, cfg, dict(zip(actors, fracs)), plans)
 
 
 @dataclass
@@ -946,6 +998,9 @@ def missing_label_adversary(
     """
     if missing not in _REQUIRED:
         raise ValueError(f"missing must be one of the labels 1/2, 1 and 0, not {missing}")
+    # the policy reads the start's edge before the engine could reject it
+    if start not in g.colors:
+        raise ValueError(f"initial light {start} not in the color set")
     together, answer_jumps = missing == Fraction(1, 2), missing == 0
     lights = [start, start]
     rows: list[tuple[str, str]] = []

@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 
 from lumirend import schedules
 from lumirend.algorithms import BadParameter, builtin, enumerate_graphs
-from lumirend.core import LightGraph, MovementModel, SchedulerClass, transition
+from lumirend.core import (
+    FSYNC,
+    SSYNC,
+    LightGraph,
+    MovementModel,
+    SchedulerClass,
+    destination,
+    transition,
+    truncate_move,
+)
 from lumirend.engine import IllegalSchedule, run
 from lumirend.schedules import Schedule, Slot, block, mirror, random_lc_atomic_schedule, sim
 from lumirend.verify import (
@@ -25,6 +34,7 @@ from lumirend.verify import (
     _is_rendezvous_state,
     _key_movement,
     _sanitize_block,
+    _search_children,
     _step,
     _timed,
     check_contraction_pattern,
@@ -489,7 +499,10 @@ _states = st.tuples(
 )
 
 
-@given(state=_states, movement=st.sampled_from([RIGID, NR4, MovementModel.non_rigid(F(1, 8)), None]))
+_KEY_MOVEMENTS = [RIGID, NR4, MovementModel.non_rigid(F(1, 8)), MovementModel.non_rigid(F(3, 7)), None]
+
+
+@given(state=_states, movement=st.sampled_from(_KEY_MOVEMENTS))
 @example(state=(("A", "B"), (F(1, 4), None), (F(1, 4), F(1, 4))), movement=RIGID)
 @example(state=(("A", "B"), (F(0), F(-1, 8)), (F(0), F(0))), movement=NR4)
 @example(state=(("A", "A"), (None, F(1, 2)), (F(1, 2), F(1, 4))), movement=NR4)
@@ -502,6 +515,121 @@ def test_canonical_key_matches_the_reference(state, movement):
 def test_search_requires_lc_atomicity():
     with pytest.raises(ValueError):
         SearchConfig(horizon=10, scheduler=SchedulerClass.asynchronous(), movement=RIGID)
+
+
+def test_search_config_rejects_fraction_choices_that_drop_or_break_moves():
+    # with no choice every long non-rigid move would drop out of the game, and
+    # both searches below would close as Rendezvous
+    halve = LightGraph.build("A", {"A": ("A", "1/2")})
+    for g, scheduler in ((builtin("ss3"), LC), (halve, SchedulerClass.ssync())):
+        assert isinstance(search_one(g, SearchConfig(16, scheduler, NR4), ("A", "A"), 1), Diverges)
+        with pytest.raises(ValueError, match="at least one fraction"):
+            SearchConfig(16, scheduler, NR4, fraction_choices=())
+    for bad in (F(-1, 2), F(3, 2)):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            SearchConfig(16, LC, NR4, fraction_choices=(F(0), bad))
+    assert SearchConfig(16, LC, NR4, fraction_choices=(F(1),)).fraction_choices == (F(1),)
+
+
+def _reference_step(state, g, cfg, frac_of):
+    """The search's step as it was when it recomputed each actor's transition
+    and destination for every adversary choice."""
+    lights, pendings, positions = state
+    rounds = cfg.scheduler.kind in (FSYNC, SSYNC)
+    new_lights = list(lights)
+    new_pend = list(pendings)
+    new_pos = list(positions)
+    completions = set()
+    ops = ["-", "-"]
+    move_row = ["-", "-"]
+    move_fracs = [None, None]
+    for i, frac in frac_of.items():
+        if rounds or pendings[i] is None:
+            nl, lam = transition(g, lights[1 - i])
+            new_lights[i] = nl
+            ops[i] = "LC"
+            dest = destination(positions[i], positions[1 - i], lam)
+            if dest == positions[i]:
+                completions.add(i)
+                continue
+            if not rounds:
+                new_pend[i] = dest
+                continue
+        else:
+            dest, new_pend[i] = pendings[i], None
+        new_pos[i] = dest if frac is None else truncate_move(positions[i], dest, cfg.movement, frac)
+        (move_row if rounds else ops)[i] = "M"
+        move_fracs[i] = frac
+        completions.add(i)
+    if not rounds:
+        slots = [(tuple(ops), tuple(move_fracs))]
+    else:
+        slots = [(tuple(ops), (None, None))]
+        if move_row != ["-", "-"]:
+            slots.append((tuple(move_row), tuple(move_fracs)))
+    child = (tuple(new_lights), tuple(new_pend), tuple(new_pos))
+    return slots, frozenset(completions), child
+
+
+def _reference_search_children(state, g, cfg):
+    """`_search_children` as it was: per actor set, each actor's move length
+    worked out again to decide its fraction choices."""
+    lights, pendings, positions = state
+    rounds = cfg.scheduler.kind in (FSYNC, SSYNC)
+    actor_sets = [(0, 1)] if cfg.scheduler.kind == FSYNC else [(0,), (1,), (0, 1)]
+    for actors in actor_sets:
+        per_actor_fracs = []
+        for i in actors:
+            long_move = False
+            if cfg.movement.kind != "rigid":
+                if rounds:
+                    _nl, lam = transition(g, lights[1 - i])
+                    target = destination(positions[i], positions[1 - i], lam)
+                else:
+                    target = pendings[i]
+                long_move = target is not None and abs(target - positions[i]) > cfg.movement.delta
+            per_actor_fracs.append(tuple(cfg.fraction_choices) if long_move else (F(1),))
+        for fracs in product(*per_actor_fracs):
+            yield _reference_step(state, g, cfg, dict(zip(actors, fracs)))
+
+
+def test_search_children_match_the_reference():
+    # random states, pending destinations included under asynchrony; an idle
+    # asynchronous robot's LC moves nothing at its instant, so it must get no
+    # fraction choices even when the move it computes is long
+    rng = random.Random(8)
+    labels = ("-1/2", 0, "1/2", 1, 2)
+    graphs = [
+        LightGraph.build("ABC", {c: (rng.choice("ABC"), rng.choice(labels)) for c in "ABC"})
+        for _ in range(12)
+    ]
+    coords = [F(k, 8) for k in range(-12, 13)] + [F(1, 3), F(-5, 7)]
+    halves = (F(0), F(1, 2), F(1))
+    movements = [
+        (RIGID, (F(0), F(1))),
+        (NR4, halves),
+        (MovementModel.non_rigid(F(3, 7)), halves),
+    ]
+    schedulers = [SchedulerClass.fsync(), SchedulerClass.ssync(), LC]
+    offered = 0  # choices with a robot's fraction other than a full move
+    for scheduler, (movement, fractions) in product(schedulers, movements):
+        cfg = SearchConfig(4, scheduler, movement, fractions)
+        for _ in range(150):
+            g = rng.choice(graphs)
+            lights = (rng.choice(g.colors), rng.choice(g.colors))
+            if scheduler.kind == "async":
+                pendings = tuple(rng.choice([None, None, rng.choice(coords)]) for _i in (0, 1))
+            else:
+                pendings = (None, None)
+            state = (lights, pendings, (rng.choice(coords), rng.choice(coords)))
+            got = list(_search_children(state, g, cfg))
+            assert got == list(_reference_search_children(state, g, cfg)), (g.to_json(), cfg, state)
+            offered += sum(f not in (None, 1) for slots, _c, _s in got for _ops, fs in slots for f in fs)
+            # the four-argument step, with full moves keyed by None
+            for actors in ((0,), (1,), (0, 1)):
+                frac_of = dict.fromkeys(actors)
+                assert _step(state, g, cfg, frac_of) == _reference_step(state, g, cfg, frac_of)
+    assert offered
 
 
 def test_adversary_search_maps_initials_to_verdicts():
@@ -607,6 +735,13 @@ def test_missing_label_adversary_rejects_other_labels():
     g = LightGraph.build("AB", {"A": ("B", "1/2"), "B": ("A", "1/2")})
     with pytest.raises(ValueError, match="1/2, 1 and 0"):
         missing_label_adversary(g, "A", F(1, 3))
+
+
+def test_missing_label_adversary_rejects_a_start_outside_the_graph():
+    g = LightGraph.build("AB", {"A": ("B", "1/2"), "B": ("A", "1/2")})
+    for missing in (F(1), F(1, 2), F(0)):
+        with pytest.raises(ValueError, match="initial light Z not in the color set"):
+            missing_label_adversary(g, "Z", missing)
 
 
 # -- reachable pairs ------------------------------------------------------------------
