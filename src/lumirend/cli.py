@@ -133,6 +133,8 @@ def cmd_run(args) -> int:
     g = _graph(args)
     scheduler = _parse_class(args.scheduler_class)
     movement = _movement(args)
+    if args.horizon < 1:
+        raise ValueError("horizon must be at least 1")
     schedule = _schedule(args.schedule, args.horizon)
     init = _parse_init(args.init)
     trace = run(g, schedule, init, rational(args.dist), scheduler, movement, horizon=args.horizon)

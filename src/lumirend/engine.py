@@ -17,6 +17,12 @@ A cycle whose computed destination equals the current position needs no Move:
 the robot may take its next Look directly, and an explicitly scheduled M is a
 no-op.  Executions are deterministic: one (graph, schedule, initial, fraction)
 tuple yields exactly one trace.
+
+A trace stores what the run did, not a snapshot per instant: the slots it
+executed (cut at rendezvous) and each robot's append-only histories of light
+writes and moves.  Every state query reads the histories, and the trace rows
+(`TraceStep`, the state effective at t+1 after each executed slot) are derived
+from them on first read.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Sequence
 
@@ -161,22 +168,38 @@ class TraceStep:
 
 
 class Trace:
-    """A completed execution: timestamped steps plus exact state queries."""
+    """A completed execution: the executed slots and each robot's histories,
+    with exact state queries over them.
 
-    def __init__(self, graph, scheduler, movement, robots, steps, rendezvous_time, t0=0):
+    `steps` holds one row per executed slot, derived on first read from the
+    histories: they are append-only, so the writes and moves that began at or
+    before a slot's time still give the state at the instant after it."""
+
+    def __init__(self, graph, scheduler, movement, robots, slots, rendezvous_time, t0=0):
         self.graph = graph
         self.scheduler = scheduler
         self.movement = movement
         self._robots = robots
-        self.steps: list[TraceStep] = steps
+        self.slots: list[Slot] = slots
         self.rendezvous_time = rendezvous_time
         self.t0 = t0
         self.initial = (
             tuple(r.light_writes[0][1] for r in robots),
             tuple(r.initial_pos for r in robots),
         )
-        self.end_time = steps[-1].time + 1 if steps else t0
+        self.end_time = slots[-1].time + 1 if slots else t0
         self._committed_at_end = tuple(r.committed(graph, self.end_time) for r in robots)
+
+    @cached_property
+    def steps(self) -> list[TraceStep]:
+        r0, r1 = self._robots
+        rows = []
+        for slot in self.slots:
+            after = slot.time + 1
+            p0, p1 = r0.position_at(after), r1.position_at(after)
+            lights = (r0.light_at(after), r1.light_at(after))
+            rows.append(TraceStep(slot.time, slot.ops, slot.fractions, lights, (p0, p1), abs(p0 - p1)))
+        return rows
 
     # -- state queries -------------------------------------------------
 
@@ -200,10 +223,11 @@ class Trace:
         M's begin, and one for ME the implied end of an atomic M."""
         also = {OP_LOOK: OP_LC, OP_COMP: OP_LC, OP_MB: OP_M, OP_ME: OP_M}.get(op)
         # start one instant early: an atomic M there ends at t
-        for k in range(bisect_left(self.steps, t - 1, key=attrgetter("time")), len(self.steps)):
-            step = self.steps[k]
-            done = step.ops[robot]
-            when = step.time + 1 if op == OP_ME and done == OP_M else step.time
+        slots = self.slots
+        for k in range(bisect_left(slots, t - 1, key=attrgetter("time")), len(slots)):
+            slot = slots[k]
+            done = slot.ops[robot]
+            when = slot.time + 1 if op == OP_ME and done == OP_M else slot.time
             if (done == op or done == also) and when >= t:
                 return when
         return None
@@ -232,7 +256,7 @@ class Trace:
         cycle that leaves the robot committed to a displacing move when the
         trace ends has no last effective instant."""
         candidates = {self.t0, self.end_time}
-        candidates.update(s.time for s in self.steps)
+        candidates.update(s.time for s in self.slots)
         return [t for t in sorted(candidates) if self.is_cs(t)]
 
     # -- export ----------------------------------------------------------
@@ -455,22 +479,16 @@ def run(
     r0, r1 = simstate.robots
     slots = list(schedule.unroll(horizon))
     ends = _me_times(slots)
-    steps: list[TraceStep] = []
 
-    def met(t, p0, p1) -> bool:
+    def met(t) -> bool:
         # rendezvous: one point, and no robot committed to a displacing move
-        return p0 == p1 and not (r0.committed(g, t) or r1.committed(g, t))
+        return r0.position_at(t) == r1.position_at(t) and not (r0.committed(g, t) or r1.committed(g, t))
 
-    if stop_at_rendezvous and met(0, r0.initial_pos, r1.initial_pos):
-        return Trace(g, scheduler, movement, simstate.robots, steps, 0)
-    for slot in slots:
+    if stop_at_rendezvous and met(0):
+        return Trace(g, scheduler, movement, simstate.robots, [], 0)
+    for k, slot in enumerate(slots):
         t = slot.time
         simstate.step(t, slot.ops, slot.fractions, (ends.get((0, t)), ends.get((1, t))))
-        # every write and move so far began at or before t: the newest entries
-        # give the state at t + 1
-        p0, p1 = r0.position_at(t + 1), r1.position_at(t + 1)
-        lights = (r0.light_writes[-1][1], r1.light_writes[-1][1])
-        steps.append(TraceStep(t, slot.ops, slot.fractions, lights, (p0, p1), abs(p0 - p1)))
-        if stop_at_rendezvous and met(t + 1, p0, p1):
-            return Trace(g, scheduler, movement, simstate.robots, steps, t + 1)
-    return Trace(g, scheduler, movement, simstate.robots, steps, None)
+        if stop_at_rendezvous and met(t + 1):
+            return Trace(g, scheduler, movement, simstate.robots, slots[: k + 1], t + 1)
+    return Trace(g, scheduler, movement, simstate.robots, slots, None)

@@ -295,8 +295,8 @@ def detect_scaling_loop(trace: Trace) -> ScalingLoopCertificate | None:
             distances[k] = trace.distance_at(cs[k])
         return distances[k]
 
-    steps = trace.steps
-    step_time = attrgetter("time")
+    slots = trace.slots
+    slot_time = attrgetter("time")
     for i, ti in enumerate(cs):
         pi = pairs[i]
         mirrored = (pi[1], pi[0])
@@ -311,9 +311,9 @@ def detect_scaling_loop(trace: Trace) -> ScalingLoopCertificate | None:
             dj = distance(j)
             if dj <= 0 or dj > di:
                 continue
-            lo = bisect_left(steps, ti, key=step_time)
-            hi = bisect_left(steps, cs[j], lo, key=step_time)
-            blk = _sanitize_block([Slot(s.time, s.ops, s.fractions) for s in steps[lo:hi]])
+            lo = bisect_left(slots, ti, key=slot_time)
+            hi = bisect_left(slots, cs[j], lo, key=slot_time)
+            blk = _sanitize_block(slots[lo:hi])
             if not blk or not _block_fair(blk):
                 continue
             cert = ScalingLoopCertificate(
@@ -436,6 +436,9 @@ class SearchConfig:
         if not self.fraction_choices:
             raise ValueError("fraction_choices must hold at least one fraction")
         for frac in self.fraction_choices:
+            # states are keyed by exact integer arithmetic on the positions
+            if not isinstance(frac, (int, Fraction)):
+                raise ValueError(f"fraction choice {frac!r} is not an int or a Fraction")
             if not 0 <= frac <= 1:
                 raise ValueError(f"fraction choice {frac} outside [0, 1]")
 
@@ -992,8 +995,8 @@ def missing_label_adversary(
     round is an LC row for its actors, then an M row for each actor whose
     label is non-zero: the robots stand apart at every round start, so
     exactly these move.  The engine is the only simulation: it runs all
-    `horizon` rounds once, stopping at rendezvous, and the executed prefix is
-    the returned schedule (empty for robots that start together).
+    `horizon` rounds once, stopping at rendezvous, and the trace's executed
+    slots are the returned schedule (empty for robots that start together).
     `detect_scaling_loop` then looks for a certificate on the trace.
     """
     if missing not in _REQUIRED:
@@ -1022,8 +1025,7 @@ def missing_label_adversary(
             rows.append(moves)
     schedule = Schedule(prefix=tuple(Slot(t, ops) for t, ops in enumerate(rows, 1)))
     trace = run(g, schedule, (start, start), distance, SchedulerClass.ssync(), MovementModel.rigid())
-    executed = Schedule(prefix=schedule.prefix[: len(trace.steps)])
-    return executed, trace, detect_scaling_loop(trace)
+    return Schedule(prefix=tuple(trace.slots)), trace, detect_scaling_loop(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -1103,10 +1105,10 @@ def check_synchronous_contraction(trace: Trace) -> list[tuple]:
     both robots perform LC at once; their effects land two ticks later."""
     g = trace.graph
     bad = []
-    for step in trace.steps:
-        if step.ops != (OP_LC, OP_LC):
+    for slot in trace.slots:
+        if slot.ops != (OP_LC, OP_LC):
             continue
-        t = step.time
+        t = slot.time
         pair = (trace.light_at(0, t), trace.light_at(1, t))
         if pair[0] != pair[1]:
             continue

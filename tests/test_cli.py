@@ -89,6 +89,15 @@ def test_run_zero_distance_start(capsys):
     assert out == ""  # met at the start: nothing to execute
 
 
+@pytest.mark.parametrize("horizon", ["0", "-3"])
+def test_run_rejects_a_non_positive_horizon(capsys, horizon):
+    code, out, err = run_cli(
+        capsys, "run", "--alg", "ss3", "--schedule", "sim", "--init", "A,A",
+        "--dist", "1", "--class", "ssync", "--horizon", horizon,
+    )
+    assert (code, out, err) == (1, "", "error: horizon must be at least 1\n")
+
+
 def test_run_rejects_decimal_rationals(capsys):
     code, _out, err = run_cli(
         capsys, "run", "--alg", "ss3", "--schedule", "sim", "--init", "A,A",

@@ -420,9 +420,9 @@ def test_cycle_starts_match_the_reference():
 
 
 def _reference_run(g, s, colors, distance, cls, movement, cut):
-    """`run` as it was before it reused each step's positions for the
-    rendezvous test: after every step the distance is read afresh, and the
-    robots meet when it is zero and no robot is committed to a displacing
+    """`run` as it was when it built each row eagerly: after every step the
+    row is read from the live simulation, the distance is read afresh, and
+    the robots meet when it is zero and no robot is committed to a displacing
     move.  Returns the steps and the rendezvous time."""
     simstate = Simulation(g, cls, movement, list(colors), (F(0), F(distance)))
     slots = list(s.unroll())
@@ -469,12 +469,18 @@ def test_rendezvous_cut_matches_the_reference():
             rng = random.Random(seed)
             s = random_lc_atomic_schedule(rng, 30, fractions)
             cases.append((g, s, (rng.choice(g.colors), rng.choice(g.colors)), 1, lc, movements[seed % 2]))
-    met = {"at 0": 0, "later": 0, "zero but committed": 0}
+    met = {"at 0": 0, "later": 0, "zero but committed": 0, "split move": 0}
     for case in cases:
         for cut in (True, False):
             tr = run(*case, stop_at_rendezvous=cut)
+            # the rows are derived from the histories on first read, here
+            # after queries that read the same histories
+            for t in tr.cs_times():
+                tr.configuration_at(t)
             steps, when = _reference_run(*case, cut)
             assert (tr.steps, tr.rendezvous_time) == (steps, when), (case, cut)
+            assert tr.slots == list(case[1].unroll())[: len(steps)]
+            met["split move"] += any("MB" in st.ops for st in steps)
             met["at 0"] += when == 0
             met["later"] += bool(when)
             # a cut run goes on past a step at distance zero only while a

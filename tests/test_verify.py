@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lumirend import schedules
+from lumirend import engine, schedules
 from lumirend.algorithms import BadParameter, builtin, enumerate_graphs
 from lumirend.core import (
     FSYNC,
@@ -246,6 +246,31 @@ def test_validation_rejects_an_illegal_block_as_the_engine_does():
     with pytest.raises(CertificateError) as rejected:
         validate_certificate(dataclasses.replace(cert, schedule_block=blk))
     assert str(rejected.value) == f"the engine rejects the block: {engine.value}"
+
+
+def _count_trace_rows(monkeypatch) -> list:
+    rows = []
+    trace_step = engine.TraceStep
+
+    def counting(*args):
+        rows.append(args)
+        return trace_step(*args)
+
+    monkeypatch.setattr(engine, "TraceStep", counting)
+    return rows
+
+
+def test_adversary_validation_and_search_build_no_trace_rows(monkeypatch):
+    rows = _count_trace_rows(monkeypatch)
+    g = LightGraph.build("AB", {"A": ("B", "1/2"), "B": ("A", "1/2")})
+    schedule, trace, cert = missing_label_adversary(g, "A", F(1))
+    validate_certificate(cert)
+    assert rows == []
+    assert isinstance(search_one(builtin("ss3"), SearchConfig(16, LC, NR4), ("A", "A"), 1), Diverges)
+    assert rows == []
+    # the rows are built once, for a reader that asks for them
+    assert len(trace.steps) == len(schedule.prefix) == len(rows) > 0
+    assert trace.steps is trace.steps and len(rows) == len(schedule.prefix)
 
 
 # -- published counterexamples ----------------------------------------------------
@@ -528,6 +553,10 @@ def test_search_config_rejects_fraction_choices_that_drop_or_break_moves():
     for bad in (F(-1, 2), F(3, 2)):
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
             SearchConfig(16, LC, NR4, fraction_choices=(F(0), bad))
+    # a float would truncate a long move to an inexact position
+    with pytest.raises(ValueError, match=r"fraction choice 0\.5 is not an int or a Fraction"):
+        SearchConfig(16, LC, NR4, fraction_choices=(0.5, 1.0))
+    assert SearchConfig(16, LC, NR4, fraction_choices=(0, 1)).fraction_choices == (0, 1)
     assert SearchConfig(16, LC, NR4, fraction_choices=(F(1),)).fraction_choices == (F(1),)
 
 
