@@ -27,6 +27,13 @@ reference semantics: every certificate is validated by replaying its block
 through the engine, so a search step that ever disagreed with the engine
 would lose a certificate, never forge one.
 
+A search reads only the colors on the forward orbits of its two start colors,
+so its verdict does not change when colors are renamed.  `_search_core`
+keeps each verdict under a key of the reached part of the graph with its
+colors numbered in walk order (`_class_key`), and a relabeled search shares
+it.  A shared `Diverges` is rebuilt on the caller's graph and colors and
+replay-validated like a fresh one; `Inconclusive` verdicts are not shared.
+
 The missing-label adversaries are policies over the lights, and the engine
 is their only simulation.
 """
@@ -831,8 +838,69 @@ class SearchGraph:
         return cert
 
 
+# Verdicts of finished searches by `_class_key`.  A Rendezvous is held as it
+# is; a Diverges as (entry color numbers, entry distance, block, ratio, swap),
+# rebuilt on the caller's graph and replay-validated at each hit.  An
+# Inconclusive is not held: a rejected certificate's reason may name colors.
+_MEMO: dict = {}
+
+
+def _numbering(g: LightGraph, colors: tuple[str, str]) -> dict[str, int]:
+    """The colors a search from `colors` can show, numbered in the order the
+    out-edges reach them from colors[0], then from colors[1].  Out-degree one
+    makes the order canonical: relabeled graphs number alike."""
+    number: dict[str, int] = {}
+    for c in colors:
+        while c not in number:
+            number[c] = len(number)
+            c = g.edges[c].target
+    return number
+
+
+def _class_key(g: LightGraph, cfg: SearchConfig, colors: tuple[str, str], d: Fraction, number: dict):
+    """What a search's verdict depends on, free of color names: the reached
+    edges and starts by number, the config, the distance, and whether keys
+    keep their scale (the one place the search reads unreached labels)."""
+    edges = tuple((number[g.edges[c].target], g.edges[c].lam) for c in number)
+    starts = (number[colors[0]], number[colors[1]])
+    return edges, starts, cfg, d, _key_movement(g, cfg.movement) is None
+
+
 def _search_core(g: LightGraph, cfg: SearchConfig, colors: tuple[str, str], distance) -> Verdict:
+    """One search's verdict, shared by every relabeling of the part of the
+    graph it reaches (`_MEMO`).  A shared certificate is rebuilt with the
+    caller's graph and colors and validated again; a rejection there is a
+    fault of the sharing and propagates as CertificateError."""
     d = rational(distance)
+    if d < 0:
+        raise ValueError("initial distance must be non-negative")
+    for c in colors:
+        if c not in g.edges:
+            raise ValueError(f"initial light {c} not in the color set")
+    number = _numbering(g, colors)
+    key = _class_key(g, cfg, colors, d, number)
+    held = _MEMO.get(key)
+    if isinstance(held, Rendezvous):
+        return held
+    if held is not None:
+        (i, j), d0, blk, ratio, swap = held
+        order = list(number)
+        cert = ScalingLoopCertificate(
+            g, cfg.scheduler, cfg.movement, (order[i], order[j]), d0, blk, ratio, swap
+        )
+        validate_certificate(cert)
+        return Diverges(cert)
+    verdict = _search_fresh(g, cfg, colors, d)
+    if isinstance(verdict, Rendezvous):
+        _MEMO[key] = verdict
+    elif isinstance(verdict, Diverges):
+        c = verdict.certificate
+        entry = (number[c.entry_colors[0]], number[c.entry_colors[1]])
+        _MEMO[key] = (entry, c.entry_distance, c.schedule_block, c.ratio, c.swap)
+    return verdict
+
+
+def _search_fresh(g: LightGraph, cfg: SearchConfig, colors: tuple[str, str], d: Fraction) -> Verdict:
     initial: _State = ((colors[0], colors[1]), (None, None), (Fraction(0), d))
     graph = SearchGraph(g, cfg, initial, stop_at_certificate=True)
     if graph.certificate is not None:

@@ -2,7 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from lumirend import verify
 from lumirend.core import MovementModel, SchedulerClass
+
+
+@pytest.fixture(autouse=True)
+def fresh_search_memo():
+    """Each test starts with no shared search verdicts, so a test that
+    patches the search sees its own searches run, whatever ran before it."""
+    verify._MEMO.clear()
 
 
 @pytest.fixture

@@ -141,6 +141,21 @@ def test_verify_classification_qss4(capsys):
     assert report["mixed"]["A,C"]["kind"] == "diverges"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--alg", "ss3", "--class", "ssync", "--init", "A,A"),
+        ("verify", "--alg", "ss3", "--class", "ssync"),
+        ("enumerate", "--colors", "1", "--class", "ssync", "--horizon", "8"),
+    ],
+)
+def test_searches_reject_a_negative_distance(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--dist", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: initial distance must be non-negative\n"
+
+
 def test_enumerate_single_color(capsys):
     code, out, err = run_cli(
         capsys, "enumerate", "--colors", "1", "--labels", "0,1/2,1",

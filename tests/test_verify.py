@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lumirend import engine, schedules
+from lumirend import engine, schedules, verify
 from lumirend.algorithms import BadParameter, builtin, enumerate_graphs
 from lumirend.core import (
     FSYNC,
@@ -460,6 +460,97 @@ def test_search_stops_at_the_first_certified_depth(monkeypatch):
         validate_certificate(verdict.certificate)
         assert built
         assert all(max(n.depth for n in graph.nodes.values()) <= 8 for graph in built)
+
+
+# -- verdicts shared across relabelings ---------------------------------------
+
+
+def _fresh(g, cfg, colors, distance=1):
+    verify._MEMO.clear()
+    return search_one(g, cfg, colors, distance)
+
+
+def _same_verdict(got, want) -> bool:
+    if isinstance(want, Diverges):
+        return isinstance(got, Diverges) and got.certificate.to_json() == want.certificate.to_json()
+    return got == want
+
+
+def test_shared_verdicts_equal_fresh_searches_on_the_three_color_sweep():
+    # criterion 08's 729 x 3 searches: a warm memo, filled in sweep order,
+    # against a memo cleared before each search
+    cfg = SearchConfig(horizon=40, scheduler=LCMV, movement=RIGID)
+    jobs = [(g, (c, c)) for g in enumerate_graphs(3, (F(0), F(1, 2), F(1))) for c in g.colors]
+    warm = [search_one(g, cfg, colors, 1) for g, colors in jobs]
+    assert len(verify._MEMO) < len(jobs) // 10
+    for (g, colors), got in zip(jobs, warm):
+        assert _same_verdict(got, _fresh(g, cfg, colors)), (g, colors)
+
+
+def test_shared_verdicts_equal_fresh_searches_on_the_ss3_relabelings():
+    # the six relabelings of ss3/alg_b, from every start, under the class the
+    # SSYNC pre-pass cannot decide
+    cfg = SearchConfig(horizon=12, scheduler=LC, movement=NR4)
+    graphs = list(enumerate_graphs(3, (F(0), F(1, 2), F(1))))
+    jobs = [
+        (graphs[idx], (a, b))
+        for idx in (412, 416, 426, 518, 528, 532)
+        for a in "ABC"
+        for b in "ABC"
+    ]
+    warm = [search_one(g, cfg, colors, 1) for g, colors in jobs]
+    assert any(isinstance(v, Diverges) for v in warm)
+    for (g, colors), got in zip(jobs, warm):
+        assert _same_verdict(got, _fresh(g, cfg, colors)), (g, colors)
+
+
+def test_graphs_differing_in_an_unreached_label_do_not_share():
+    # from A,A only A and B are reached; C's label decides whether states
+    # keep their scale, and with it the verdict at this horizon
+    cfg = SearchConfig(8, LC, NR4)
+    jumps, halves = (
+        LightGraph.build("ABC", {"A": ("B", "1/2"), "B": ("A", 0), "C": ("A", lam)})
+        for lam in ("2", "1/2")
+    )
+    fresh = [(g, _fresh(g, cfg, ("A", "A"))) for g in (jumps, halves)]
+    assert [v.kind for _g, v in fresh] == ["inconclusive", "diverges"]
+    for order in (fresh, fresh[::-1]):
+        verify._MEMO.clear()
+        for g, want in order:
+            assert _same_verdict(search_one(g, cfg, ("A", "A"), 1), want)
+
+
+def test_a_relabeled_hit_carries_the_callers_colors_and_graph():
+    # ss3 with A, B, C renamed C, A, B: its search from C,C is ss3's from A,A
+    cfg = SearchConfig(horizon=40, scheduler=LCMV, movement=RIGID)
+    renamed = LightGraph.build("ABC", {"C": ("A", "1/2"), "A": ("B", 0), "B": ("C", 1)})
+    want = _fresh(renamed, cfg, ("C", "C"))
+    verify._MEMO.clear()
+    first = search_one(builtin("ss3"), cfg, ("A", "A"), 1)
+    held = len(verify._MEMO)
+    got = search_one(renamed, cfg, ("C", "C"), 1)
+    assert len(verify._MEMO) == held  # a hit
+    assert isinstance(got, Diverges)
+    assert got.certificate.graph is renamed
+    rename = dict(zip("ABC", "CAB"))
+    assert got.certificate.entry_colors == tuple(rename[c] for c in first.certificate.entry_colors)
+    assert got.certificate.to_json() == want.certificate.to_json()
+
+
+@pytest.mark.parametrize(
+    "colors, distance, message",
+    [
+        (("A", "A"), -1, "initial distance must be non-negative"),
+        (("A", "Z"), 1, "initial light Z not in the color set"),
+        (("Z", "Z"), 0, "initial light Z not in the color set"),
+    ],
+)
+def test_search_rejects_a_bad_start(colors, distance, message):
+    cfg = SearchConfig(horizon=8, scheduler=SchedulerClass.ssync(), movement=RIGID)
+    for prepass in (True, False):
+        with pytest.raises(ValueError, match=message):
+            search_one(builtin("ss3"), cfg, colors, distance, prepass=prepass)
+    assert not verify._MEMO
 
 
 def test_canonical_key_keeps_scale_when_a_label_leaves_the_span():
