@@ -8,7 +8,7 @@ from itertools import product
 from string import ascii_uppercase
 from typing import Iterable, Iterator
 
-from .core import LightGraph, rational
+from .core import Edge, LightGraph, rational, validate_graph
 
 
 class BadParameter(ValueError):
@@ -85,12 +85,15 @@ def enumerate_graphs(k: int, labels: Iterable) -> Iterator[LightGraph]:
     label_list = [rational(x) for x in labels]
     if not label_list:
         raise ValueError("need at least one label")
-    colors = ascii_uppercase[:k]
+    colors = tuple(ascii_uppercase[:k])
+    # the k * len(labels) distinct edges, shared by every graph (an Edge is
+    # frozen); each graph still gets its own edge map and its validation
+    edges_to = [[Edge(target, lam) for lam in label_list] for target in colors]
     for targets in product(range(k), repeat=k):
-        for labs in product(label_list, repeat=k):
-            yield LightGraph.build(
-                colors, {colors[i]: (colors[targets[i]], labs[i]) for i in range(k)}
-            )
+        for chosen in product(*(edges_to[t] for t in targets)):
+            g = LightGraph(colors, dict(zip(colors, chosen)))
+            validate_graph(g)
+            yield g
 
 
 def count_graphs(k: int, labels: Iterable) -> int:

@@ -54,6 +54,7 @@ from .verify import (
 )
 
 DEFAULT_HORIZON = 64
+SEARCH_CLASS = "async,lc-atomic"
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -254,9 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file supplying default values for any flag")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--class", dest="scheduler_class", default="async",
-                       help="scheduler class: fsync | ssync | async, plus lc-atomic, move-atomic")
+    def common(p, scheduler_class="async"):
+        p.add_argument("--class", dest="scheduler_class", default=scheduler_class,
+                       help="scheduler class: fsync | ssync | async, plus lc-atomic, move-atomic "
+                            f"(default: {scheduler_class})")
         p.add_argument("--rigid", action="store_true", help="rigid movement (default)")
         p.add_argument("--nonrigid", action="store_true", help="non-rigid movement; needs --delta")
         p.add_argument("--delta", help="minimum movement distance as p/q")
@@ -276,14 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert-out", help="file for a divergence certificate (default stderr)")
     p.set_defaults(func=cmd_run)
 
+    # the search explores the LC-atomic fragment, so its commands default to it
     p = sub.add_parser("verify", help="classify stabilization by bounded adversary search")
-    common(p)
+    common(p, SEARCH_CLASS)
     p.add_argument("--alg", required=True)
     p.add_argument("--init", help="verify a single initial color pair instead of classifying")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("enumerate", help="survey all k-color algorithms")
-    common(p)
+    common(p, SEARCH_CLASS)
     p.add_argument("--colors", type=int, required=True)
     p.add_argument("--labels", default="0,1/2,1", help="comma-separated rational labels")
     p.add_argument("--force", action="store_true", help="allow oversized enumerations")

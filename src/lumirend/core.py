@@ -150,6 +150,8 @@ def transition(g: LightGraph, observed: str) -> tuple[str, Fraction]:
 
 @dataclass(frozen=True)
 class MovementModel:
+    """Rigid movement, or non-rigid movement that covers at least `delta`."""
+
     kind: str
     delta: Fraction | None = None
 

@@ -99,6 +99,8 @@ class ConfigurationView:
 
 @dataclass
 class _Robot:
+    """One robot's run-time state and append-only histories."""
+
     light_writes: list  # [(write_time, color)]; visible from write_time+1
     moves: list  # [(tb, te, start, land, auto)]
     initial_pos: Fraction
@@ -159,6 +161,8 @@ class RobotState:
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One trace row: an executed slot and the state effective at t+1."""
+
     time: int
     ops: tuple[str, str]
     fractions: tuple[Fraction | None, Fraction | None]

@@ -51,6 +51,8 @@ class LoopBlock:
 
 @dataclass(frozen=True)
 class Schedule:
+    """A finite prefix of slots, then an optional loop repeated to `horizon`."""
+
     prefix: tuple[Slot, ...] = ()
     loop: LoopBlock | None = None
     horizon: int | None = None
@@ -186,6 +188,8 @@ def mirror(s: Schedule) -> Schedule:
 
 @dataclass(frozen=True)
 class Violation:
+    """One way a schedule breaks the rules of a scheduler class."""
+
     kind: str
     robot: int | None
     times: tuple[int, ...]

@@ -45,17 +45,19 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .algorithms import builtin, orbit_labels
+from .algorithms import builtin, orbit
 from .core import (
     ASYNC,
     FSYNC,
     NON_RIGID,
     RIGID,
     SSYNC,
+    Edge,
     LightGraph,
     MovementModel,
     SchedulerClass,
@@ -90,18 +92,24 @@ from .schedules import (
 
 @dataclass(frozen=True)
 class Rendezvous:
+    """The robots meet: at `time` on a trace; a search gives its horizon."""
+
     time: int
     kind: str = "rendezvous"
 
 
 @dataclass(frozen=True)
 class Diverges:
+    """Some fair execution never meets, witnessed by a validated certificate."""
+
     certificate: "ScalingLoopCertificate"
     kind: str = "diverges"
 
 
 @dataclass(frozen=True)
 class Inconclusive:
+    """Neither verdict was reached within `horizon`; `reason` says why."""
+
     horizon: int
     reason: str = ""
     kind: str = "inconclusive"
@@ -151,7 +159,40 @@ class ScalingLoopCertificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        """`json.dumps(self.to_json_dict(), sort_keys=True, indent=2)`, byte
+        for byte, written line by line in that layout: with `indent`, `json`
+        runs its pure-Python encoder, several times slower.  Strings are
+        escaped by `json`'s own ASCII encoder, and the block is checked as a
+        `Schedule` prefix, as in `to_json_dict`."""
+        g, scheduler, delta = self.graph, self.scheduler, self.movement.delta
+        edges = [_edge_json(c, e) for c, e in sorted(g.edges.items())]
+        slots = [_slot_json(s) for s in self.block_schedule().prefix]
+        return (
+            "{\n"
+            '  "algorithm": {\n'
+            f'    "colors": {_json_strings(g.colors)},\n'
+            f'    "edges": {_json_items(edges, "{}")}\n'
+            "  },\n"
+            '  "block": {\n'
+            f'    "prefix": {_json_items(slots)}\n'
+            "  },\n"
+            '  "entry": {\n'
+            f'    "colors": {_json_strings(self.entry_colors)},\n'
+            f'    "distance": "{format_rational(self.entry_distance)}"\n'
+            "  },\n"
+            '  "movement": {\n'
+            + ("" if delta is None else f'    "delta": "{format_rational(delta)}",\n')
+            + f'    "kind": {_quote(self.movement.kind)}\n'
+            "  },\n"
+            f'  "ratio": "{format_rational(self.ratio)}",\n'
+            '  "scheduler": {\n'
+            f'    "kind": {_quote(scheduler.kind)},\n'
+            f'    "lc_atomic": {_flag(scheduler.lc_atomic)},\n'
+            f'    "move_atomic": {_flag(scheduler.move_atomic)}\n'
+            "  },\n"
+            f'  "swap": {_flag(self.swap)}\n'
+            "}"
+        )
 
     @staticmethod
     def from_json_dict(data: dict) -> "ScalingLoopCertificate":
@@ -174,6 +215,56 @@ class ScalingLoopCertificate:
         """Re-run the block and check the recurrence it claims; raises
         CertificateError if any obligation fails."""
         validate_certificate(self)
+
+
+# The parts of `ScalingLoopCertificate.to_json` nested below its second
+# level, one source line per output line.
+
+
+def _edge_json(color: str, e: Edge) -> str:
+    return (
+        f"      {_quote(color)}: {{\n"
+        f'        "lambda": "{format_rational(e.lam)}",\n'
+        f'        "next": {_quote(e.target)}\n'
+        "      }"
+    )
+
+
+def _slot_json(s: Slot) -> str:
+    (o0, o1), (f0, f1) = s.ops, s.fractions
+    return (
+        "      {\n"
+        '        "fractions": [\n'
+        f"          {_fraction(f0)},\n"
+        f"          {_fraction(f1)}\n"
+        "        ],\n"
+        '        "ops": [\n'
+        f"          {_quote(o0)},\n"
+        f"          {_quote(o1)}\n"
+        "        ],\n"
+        f'        "t": {s.time}\n'
+        "      }"
+    )
+
+
+def _json_items(items: list[str], brackets: str = "[]") -> str:
+    """A JSON array (or object) of items already indented to the third
+    level, as `json.dumps(..., indent=2)` lays it out at the second."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n    {brackets[1]}"
+
+
+def _json_strings(values) -> str:
+    return _json_items([f"      {_quote(v)}" for v in values])
+
+
+def _fraction(f: Fraction | None) -> str:
+    return "null" if f is None else f'"{format_rational(f)}"'
+
+
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
 
 
 def _block_fair(slots: Sequence[Slot]) -> bool:
@@ -210,8 +301,25 @@ def _replay_block(cert: ScalingLoopCertificate, schedule: Schedule, colors, dist
 
 
 def validate_certificate(cert: ScalingLoopCertificate) -> None:
-    if not (0 < cert.ratio <= 1):
-        raise CertificateError(f"ratio {cert.ratio} outside (0, 1]")
+    """Replay the block twice through the engine and check the recurrence it
+    claims; raises CertificateError if any obligation fails.
+
+    The first replay, from the entry colors at the entry distance d, must end
+    at a clean cycle start with the recurring pair at distance ratio * d; the
+    second, of the block (mirrored for a swap) from there, must restore the
+    entry pair at ratio^2 * d, with no rendezvous in either.  Any ratio > 0
+    then witnesses a fair execution that never meets: the block repeats at
+    the distances ratio^n * d > 0.  A ratio above 1 is no exception:
+
+    - a rigid block is free of scale: every destination is an affine
+      combination of the two robots' positions, so from distance s * d the
+      block runs as from d, scaled by s;
+    - under non-rigid movement the run scaled by s >= 1 is one the adversary
+      may choose: a full move always is, and a cut that moves at least delta
+      still does so at any larger scale.
+    """
+    if cert.ratio <= 0:
+        raise CertificateError(f"ratio {cert.ratio} is not positive")
     if cert.entry_distance <= 0:
         raise CertificateError("entry distance must be positive")
     if not _block_fair(cert.schedule_block):
@@ -358,6 +466,8 @@ def _mirror_rows(rows):
 
 @dataclass(frozen=True)
 class ReplayResult:
+    """A replayed published counterexample: its inputs, verdict and trace."""
+
     graph: LightGraph
     schedule: Schedule
     initial: tuple[tuple[str, str], Fraction]
@@ -428,6 +538,8 @@ def replay_paper_counterexample(name: str, lam=None, distance=1) -> ReplayResult
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Settings of the bounded adversary-game search."""
+
     horizon: int
     scheduler: SchedulerClass
     movement: MovementModel
@@ -628,6 +740,8 @@ def _search_children(state: _State, g: LightGraph, cfg: SearchConfig):
 
 @dataclass
 class _Node:
+    """One canonical search state and its explored out-edges."""
+
     index: int
     rep: _State
     depth: int
@@ -782,7 +896,7 @@ class SearchGraph:
 
         Returns None when `comp` has no clean member or no such walk, and
         raises CertificateError when validation rejects the walk's
-        certificate (an expanding loop, for one, has a ratio above 1).
+        certificate.
         """
         members = set(comp)
         clean = [
@@ -978,6 +1092,8 @@ def reachable_cs_color_pairs(
 
 @dataclass(frozen=True)
 class StabilizationReport:
+    """Classification of an algorithm from its verdicts per ordered start."""
+
     classification: str
     same_color: dict
     mixed: dict
@@ -1036,14 +1152,22 @@ class StructuralReport:
 
 
 _REQUIRED = (Fraction(1, 2), Fraction(1), Fraction(0))
+_REQUIRED_PAIRS = tuple((x, (x.numerator, x.denominator)) for x in _REQUIRED)
 
 
 def structural_check(g: LightGraph) -> StructuralReport:
+    """The labels of `g`, and per same-color start the required labels (1/2,
+    1, 0) missing from its orbit.
+
+    Orbit labels are compared as (numerator, denominator) pairs, which
+    determine a reduced Fraction: hashing the Fraction costs a modular
+    inverse."""
     g.validate()
+    pair_of = {c: (e.lam.numerator, e.lam.denominator) for c, e in g.edges.items()}
     per_start = {}
     for c in g.colors:
-        labels = orbit_labels(g, c)
-        per_start[c] = tuple(x for x in _REQUIRED if x not in labels)
+        labels = {pair_of[o] for o in orbit(g, c)}
+        per_start[c] = tuple(x for x, pair in _REQUIRED_PAIRS if pair not in labels)
     return StructuralReport(frozenset(g.labels()), per_start)
 
 

@@ -1,7 +1,10 @@
 from fractions import Fraction
+from itertools import product
+from string import ascii_uppercase
 
 import pytest
 
+from lumirend import algorithms
 from lumirend.algorithms import (
     BadParameter,
     builtin,
@@ -11,7 +14,7 @@ from lumirend.algorithms import (
     orbit,
     orbit_labels,
 )
-from lumirend.core import validate_graph
+from lumirend.core import LightGraph, validate_graph
 
 F = Fraction
 LABELS = (F(0), F(1, 2), F(1))
@@ -93,6 +96,41 @@ def test_enumerate_counts(k, expected):
     for g in graphs:
         validate_graph(g)
     assert len({g.to_json() for g in graphs}) == expected
+
+
+def _reference_enumerate_graphs(k, labels):
+    """Every graph built and validated on its own by `LightGraph.build`."""
+    colors = ascii_uppercase[:k]
+    for targets in product(range(k), repeat=k):
+        for labs in product(labels, repeat=k):
+            yield LightGraph.build(
+                colors, {colors[i]: (colors[targets[i]], labs[i]) for i in range(k)}
+            )
+
+
+@pytest.mark.parametrize(
+    "k, labels",
+    [
+        (1, LABELS),
+        (3, LABELS),
+        (4, LABELS),
+        (2, ("0", "1/2", "1", "-1/2", "2")),
+    ],
+)
+def test_enumerate_matches_the_build_reference(monkeypatch, k, labels):
+    validated = []
+
+    def counting(g):
+        validated.append(g)
+        validate_graph(g)
+
+    monkeypatch.setattr(algorithms, "validate_graph", counting)
+    got = list(enumerate_graphs(k, labels))
+    want = list(_reference_enumerate_graphs(k, labels))
+    assert got == want
+    assert [g.to_json() for g in got] == [g.to_json() for g in want]
+    # the graphs share their edges, but each is validated
+    assert validated == got and len({id(g.edges) for g in got}) == len(got)
 
 
 def test_enumerate_deterministic_order():

@@ -156,6 +156,27 @@ def test_searches_reject_a_negative_distance(capsys, argv):
     assert err == "error: initial distance must be non-negative\n"
 
 
+@pytest.mark.parametrize(
+    "argv, default, code",
+    [
+        (("verify", "--alg", "ss3", "--init", "A,A", "--horizon", "8"), "async,lc-atomic", 2),
+        (("verify", "--alg", "ss3", "--horizon", "8"), "async,lc-atomic", 0),
+        (("enumerate", "--colors", "1", "--horizon", "8"), "async,lc-atomic", 0),
+        # plain asynchrony forbids the LC ops of `sim`
+        (("run", "--alg", "ss3", "--schedule", "sim", "--init", "A,A", "--horizon", "8"), "async", 1),
+    ],
+)
+def test_default_class(capsys, monkeypatch, argv, default, code):
+    # the search commands default to the class the search explores
+    result = run_cli(capsys, *argv)
+    assert result == run_cli(capsys, *argv, "--class", default)
+    assert result[0] == code
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert f"(default: {default})" in capsys.readouterr().out
+
+
 def test_enumerate_single_color(capsys):
     code, out, err = run_cli(
         capsys, "enumerate", "--colors", "1", "--labels", "0,1/2,1",

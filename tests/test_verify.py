@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -8,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lumirend import engine, schedules, verify
-from lumirend.algorithms import BadParameter, builtin, enumerate_graphs
+from lumirend.algorithms import BadParameter, builtin, enumerate_graphs, orbit_labels
 from lumirend.core import (
     FSYNC,
     SSYNC,
@@ -29,6 +30,7 @@ from lumirend.verify import (
     ScalingLoopCertificate,
     SearchConfig,
     SearchGraph,
+    StructuralReport,
     _block_fair,
     _canonical_key,
     _is_rendezvous_state,
@@ -58,6 +60,8 @@ LCMV = SchedulerClass.asynchronous(lc_atomic=True, move_atomic=True)
 LC = SchedulerClass.asynchronous(lc_atomic=True)
 RIGID = MovementModel.rigid()
 NR4 = MovementModel.non_rigid(F(1, 4))
+# from A,A each SSYNC round moves both robots away by half the distance
+EXPANDING = LightGraph.build("AB", {"A": ("A", "-1/2"), "B": ("A", "-1/2")})
 
 
 # -- check_rendezvous ----------------------------------------------------------
@@ -199,6 +203,61 @@ def test_certificate_roundtrip_and_tampering():
     )
     with pytest.raises(CertificateError):
         validate_certificate(tampered)
+
+
+def _assert_json_matches_the_reference(cert):
+    text = cert.to_json()
+    assert text == json.dumps(cert.to_json_dict(), sort_keys=True, indent=2)
+    again = ScalingLoopCertificate.from_json(text)
+    assert again == cert and again.to_json() == text
+
+
+def test_certificate_json_matches_the_reference_on_the_sweeps():
+    # criterion 08's 2187 searches, and a sample of criterion 07's adversaries
+    halves = (F(0), F(1, 2), F(1))
+    cfg = SearchConfig(40, LCMV, RIGID)
+    graphs = list(enumerate_graphs(3, halves))
+    certs = []
+    for g in graphs:
+        for c in g.colors:
+            verdict = search_one(g, cfg, (c, c), 1)
+            if verdict.kind == "diverges":
+                certs.append(verdict.certificate)
+    assert len(certs) == 2175
+    jobs = [
+        (g, start, lam)
+        for g in graphs
+        for start, labels in structural_check(g).per_start_missing.items()
+        for lam in labels
+    ]
+    for g, start, lam in random.Random(1).sample(jobs, 150):
+        certs.append(missing_label_adversary(g, start, lam)[2])
+    for cert in certs:
+        _assert_json_matches_the_reference(cert)
+
+
+def test_certificate_json_matches_the_reference_on_made_cases():
+    swapped = replay_paper_counterexample("lemma6_alg_a").verdict.certificate
+    assert swapped.swap
+    # non-rigid, with None and non-None fractions
+    cut = ScalingLoopCertificate(
+        EXPANDING, SchedulerClass.ssync(), NR4, ("A", "A"), F(1),
+        block([("LC", "LC"), ("M", "M")], [(None, None), (F(1, 2), F(1, 2))]), F(3, 2), False,
+    )
+    # color names that JSON escapes: a quote, a backslash, non-ASCII, a tab
+    odd = LightGraph.build(
+        ['A"', "\\", "é", "\t⊥"],
+        {'A"': ("é", "-1/3"), "\\": ('A"', 0), "é": ("\t⊥", 1), "\t⊥": ("\\", "7/2")},
+    )
+    named = ScalingLoopCertificate(
+        odd, LC, MovementModel.non_rigid(F(1, 8)), ("é", 'A"'), F(5, 3),
+        block([("LC", "-"), ("M", "LC"), ("-", "M")], [(None, None), (F(0), None), (None, F(1))]),
+        F(2, 7), True,
+    )
+    empty = dataclasses.replace(named, schedule_block=())
+    for cert in (swapped, cut, named, empty):
+        _assert_json_matches_the_reference(cert)
+    assert '"prefix": []' in empty.to_json()
 
 
 def test_certificate_rejects_bad_ratio():
@@ -415,13 +474,62 @@ def test_early_stop_agrees_with_the_full_graph():
                 ), (g, cfg, colors)
 
 
-def test_rejected_certificate_is_reported_as_such():
-    # an expanding loop: from A,A each SSYNC round moves both robots by -1/2
-    # toward each other, doubling the distance; the start state is a clean
-    # entry, and the certificate of its loop has ratio 2
-    g = LightGraph.build("AB", {"A": ("A", "-1/2"), "B": ("A", "-1/2")})
-    verdict = search_one(g, SearchConfig(8, SchedulerClass.ssync(), RIGID), ("A", "A"), 1)
-    assert verdict == Inconclusive(8, REJECTED + "ratio 2 outside (0, 1]")
+def test_rejected_certificate_is_reported_as_such(monkeypatch):
+    # every loop the search closes replays, so the search is handed a
+    # validator that also rejects ratios above 1; the loop of EXPANDING from
+    # its clean start state doubles the distance
+    validate = verify.validate_certificate
+
+    def shrinking_only(cert):
+        if cert.ratio > 1:
+            raise CertificateError(f"ratio {cert.ratio} above 1")
+        validate(cert)
+
+    monkeypatch.setattr(verify, "validate_certificate", shrinking_only)
+    verdict = search_one(EXPANDING, SearchConfig(8, SchedulerClass.ssync(), RIGID), ("A", "A"), 1)
+    assert verdict == Inconclusive(8, REJECTED + "ratio 2 above 1")
+
+
+def test_expanding_rigid_loops_diverge():
+    # every rigid search over the two-color graphs with labels outside
+    # [0, 1] is decided: 450 of them by a certificate with a ratio above 1,
+    # which replay validation once rejected (ratio 2 for EXPANDING)
+    labels = (F(0), F(1, 2), F(1), F(-1, 2), F(2))
+    verdict = search_one(EXPANDING, SearchConfig(8, SchedulerClass.ssync(), RIGID), ("A", "A"), 1)
+    assert verdict.kind == "diverges" and verdict.certificate.ratio == 2
+    kinds, expanding = set(), set()
+    for scheduler in (SchedulerClass.ssync(), LC, LCMV):
+        cfg = SearchConfig(6, scheduler, RIGID)
+        for g in enumerate_graphs(2, labels):
+            for colors in product(g.colors, repeat=2):
+                verdict = search_one(g, cfg, colors, 1, prepass=False)
+                kinds.add(verdict.kind)
+                if verdict.kind == "diverges" and verdict.certificate.ratio > 1:
+                    validate_certificate(verdict.certificate)
+                    expanding.add((g.to_json(), cfg.scheduler, colors))
+    assert kinds == {"diverges", "rendezvous"}
+    assert len(expanding) == 450
+
+
+def test_expanding_non_rigid_loop_needs_cuts_that_scale():
+    # one SSYNC round of EXPANDING from distance 1 under non-rigid delta=1/4:
+    # each robot's move is 1/2 long.  Cut at fraction 1/2 it covers delta,
+    # and at any larger distance half its move, at least delta again: the
+    # run scales, ratio 3/2.  Cut at fraction 0 it covers delta whatever the
+    # distance, so the second replay does not scale
+    def cert(fraction, ratio):
+        blk = block([("LC", "LC"), ("M", "M")], [(None, None), (fraction, fraction)])
+        return ScalingLoopCertificate(
+            EXPANDING, SchedulerClass.ssync(), NR4, ("A", "A"), F(1), blk, ratio, False
+        )
+
+    validate_certificate(cert(F(1, 2), F(3, 2)))
+    with pytest.raises(CertificateError, match="second replay gave distance 2, expected 9/4"):
+        validate_certificate(cert(F(0), F(3, 2)))
+    # the search keeps the scale of non-rigid states with such labels, so it
+    # closes no expanding loop there
+    verdict = search_one(EXPANDING, SearchConfig(6, SchedulerClass.ssync(), NR4), ("A", "A"), 1)
+    assert verdict == Inconclusive(6, "open branches remain; horizon too small")
 
 
 
@@ -770,6 +878,26 @@ def test_structural_check_ss3_and_ss5_complete():
     for name in ("ss3", "ss5"):
         report = structural_check(builtin(name))
         assert not report.missing_anywhere()
+
+
+def _reference_structural_check(g):
+    """The labels of each start's orbit as a set of Fractions."""
+    per_start = {}
+    for c in g.colors:
+        labels = orbit_labels(g, c)
+        per_start[c] = tuple(x for x in (F(1, 2), F(1), F(0)) if x not in labels)
+    return StructuralReport(frozenset(g.labels()), per_start)
+
+
+def test_structural_check_matches_the_fraction_set_reference():
+    halves = (F(0), F(1, 2), F(1))
+    graphs = (
+        list(enumerate_graphs(3, halves))
+        + random.Random(0).sample(list(enumerate_graphs(4, halves)), 1000)
+        + list(enumerate_graphs(2, (F(0), F(1, 2), F(1), F(-1, 2), F(2), F(3, 2))))
+    )
+    for g in graphs:
+        assert structural_check(g) == _reference_structural_check(g), g.to_json()
 
 
 def test_structural_check_missing_labels():
