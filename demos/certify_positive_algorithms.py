@@ -46,7 +46,7 @@ def main():
     g = builtin("qss4")
     for pair in (("A", "A"), ("B", "B"), ("C", "C"), ("D", "D"), ("A", "C"), ("B", "D")):
         print(f"  start {pair}: {verdict_text(search_one(g, cfg, pair, 1))}")
-    report = classify_stabilization(g, LC, NR4, cfg)
+    report = classify_stabilization(g, cfg)
     print(f"  classification: {report.classification}")
 
     print("\nfive colors, non-rigid: all 25 ordered starts certify")
@@ -59,7 +59,7 @@ def main():
         if not isinstance(search_one(g, cfg, (a, b), 1), Rendezvous)
     ]
     print(f"  non-certifying starts: {bad or 'none'}")
-    report = classify_stabilization(g, LC, NR4, cfg)
+    report = classify_stabilization(g, cfg)
     print(f"  classification: {report.classification}")
 
     pairs = reachable_cs_color_pairs(g, g.colors, cfg)

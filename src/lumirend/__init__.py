@@ -29,7 +29,6 @@ from .verify import (
     Rendezvous,
     ScalingLoopCertificate,
     SearchConfig,
-    adversary_search,
     check_rendezvous,
     classify_stabilization,
     detect_scaling_loop,

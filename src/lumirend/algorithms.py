@@ -43,10 +43,12 @@ def builtin(name: str, lam=None) -> LightGraph:
     """A built-in algorithm graph by name.
 
     `ss3`/`alg_a`, `nonqss3`, `qss4`, and `ss5` are the fixed three-, four-,
-    and five-color algorithms; `alg1`..`alg6` form the four-color one-cycle
-    family parameterized by a rational coefficient with per-name side
-    conditions (alg3, alg5: != 1; alg4, alg6: != 0).
+    and five-color algorithms and take no coefficient; `alg1`..`alg6` form
+    the four-color one-cycle family parameterized by a rational coefficient
+    with per-name side conditions (alg3, alg5: != 1; alg4, alg6: != 0).
     """
+    if lam is not None and name in BUILTIN_NAMES and name not in _FAMILY:
+        raise BadParameter(f"{name} takes no coefficient")
     if name in ("ss3", "alg_a"):
         return _three("1/2", 0, 1)
     if name == "alg_b":
@@ -108,14 +110,6 @@ class ShapeDescriptor:
     two_cycles: tuple[tuple[str, str], ...]
     scc_count: int
     cycle_lengths: tuple[int, ...]
-
-    @property
-    def has_self_loop(self) -> bool:
-        return bool(self.self_loops)
-
-    @property
-    def has_two_cycle(self) -> bool:
-        return bool(self.two_cycles)
 
 
 def classify_shape(g: LightGraph) -> ShapeDescriptor:

@@ -173,7 +173,7 @@ def cmd_verify(args) -> int:
         if isinstance(verdict, Inconclusive):
             return EXIT_INCONCLUSIVE
         return EXIT_OK
-    result = classify_stabilization(g, scheduler, movement, cfg, rational(args.dist))
+    result = classify_stabilization(g, cfg, rational(args.dist))
     report["classification"] = result.classification
     report["same_color"] = {c: _verdict_dict(v) for c, v in sorted(result.same_color.items())}
     report["mixed"] = {f"{a},{b}": _verdict_dict(v) for (a, b), v in sorted(result.mixed.items())}

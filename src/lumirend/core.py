@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-Rational = Fraction
-
 RIGID = "rigid"
 NON_RIGID = "non-rigid"
 
@@ -238,12 +236,7 @@ def destination(me: Fraction, other: Fraction, lam: Fraction) -> Fraction:
     return me + lam * (other - me)
 
 
-def truncate_move(
-    me: Fraction,
-    dest: Fraction,
-    model: MovementModel,
-    adversary_fraction: Fraction = Fraction(1),
-) -> Fraction:
+def truncate_move(me: Fraction, dest: Fraction, model: MovementModel, adversary_fraction: Fraction) -> Fraction:
     """Where a move from `me` toward `dest` actually stops.
 
     Rigid movement always reaches the destination.  Non-rigid movement may be

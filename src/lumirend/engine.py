@@ -9,7 +9,8 @@ Timing rules, all on the integer timeline:
   exactly at the Compute time still sees the former color.
 * A move spans [t_B, t_E]; an observer inside the window sees the position
   interpolated linearly, with the endpoints giving the pre- and post-move
-  positions.  An atomic M at t is MB at t with the ME implied at t+1.
+  positions.  An atomic M at t is MB at t with the ME implied at t+1, and
+  the robot is idle again once the M has run.
 * When several operations share one time instant, every Look reads the state
   before any of that instant's writes apply.
 
@@ -46,6 +47,10 @@ from .core import (
 )
 from . import schedules as sched
 from .schedules import (
+    COMPUTED,
+    IDLE,
+    LOOKED,
+    MOVING,
     OP_COMP,
     OP_LC,
     OP_LOOK,
@@ -57,11 +62,6 @@ from .schedules import (
     Schedule,
     Slot,
 )
-
-IDLE = "idle"
-LOOKED = "looked"
-COMPUTED = "computed"
-MOVING = "moving"
 
 
 class EngineError(RuntimeError):
@@ -102,11 +102,11 @@ class _Robot:
     """One robot's run-time state and append-only histories."""
 
     light_writes: list  # [(write_time, color)]; visible from write_time+1
-    moves: list  # [(tb, te, start, land, auto)]
+    moves: list  # [(tb, te, start, land)]
     initial_pos: Fraction
     phase: str = IDLE
     snapshot: tuple[str, Fraction] | None = None
-    pending: tuple[str, Fraction] | None = None
+    pending: Fraction | None = None  # the destination Compute chose
     # one entry per cycle: its Look time, and the last instant at which the
     # cycle still changes the robot's color or position (the Look time while
     # it has changed neither)
@@ -129,7 +129,7 @@ class _Robot:
         k = len(moves) if moves and moves[-1][0] < t else bisect_left(moves, t, key=itemgetter(0))
         if not k:
             return self.initial_pos
-        tb, te, start, land, _auto = moves[k - 1]
+        tb, te, start, land = moves[k - 1]
         if t >= te:
             return land
         return start + (land - start) * Fraction(t - tb, te - tb)
@@ -143,20 +143,9 @@ class _Robot:
         if self.phase == MOVING:
             return self.moves[-1][3] != here
         if self.phase == COMPUTED:
-            return self.pending[1] != here
+            return self.pending != here
         _nl, lam = transition(g, self.snapshot[0])
         return destination(here, self.snapshot[1], lam) != here
-
-
-@dataclass(frozen=True)
-class RobotState:
-    """Externally visible robot state at one time instant."""
-
-    light: str
-    position: Fraction
-    phase: str
-    snapshot: tuple[str, Fraction] | None
-    pending: tuple[str, Fraction] | None
 
 
 @dataclass(frozen=True)
@@ -179,19 +168,14 @@ class Trace:
     histories: they are append-only, so the writes and moves that began at or
     before a slot's time still give the state at the instant after it."""
 
-    def __init__(self, graph, scheduler, movement, robots, slots, rendezvous_time, t0=0):
+    def __init__(self, graph, scheduler, movement, robots, slots, rendezvous_time):
         self.graph = graph
         self.scheduler = scheduler
         self.movement = movement
         self._robots = robots
         self.slots: list[Slot] = slots
         self.rendezvous_time = rendezvous_time
-        self.t0 = t0
-        self.initial = (
-            tuple(r.light_writes[0][1] for r in robots),
-            tuple(r.initial_pos for r in robots),
-        )
-        self.end_time = slots[-1].time + 1 if slots else t0
+        self.end_time = slots[-1].time + 1 if slots else 0
         self._committed_at_end = tuple(r.committed(graph, self.end_time) for r in robots)
 
     @cached_property
@@ -259,7 +243,7 @@ class Trace:
         cut off by the rendezvous, the instant before its ME was due.  A last
         cycle that leaves the robot committed to a displacing move when the
         trace ends has no last effective instant."""
-        candidates = {self.t0, self.end_time}
+        candidates = {0, self.end_time}
         candidates.update(s.time for s in self.slots)
         return [t for t in sorted(candidates) if self.is_cs(t)]
 
@@ -334,26 +318,12 @@ class Simulation:
     def position_at(self, robot: int, t) -> Fraction:
         return self.robots[robot].position_at(t)
 
-    def robot_state(self, robot: int, t) -> RobotState:
-        r = self.robots[robot]
-        return RobotState(r.light_at(t), r.position_at(t), r.phase, r.snapshot, r.pending)
-
     # -- the step relation -------------------------------------------------
-
-    def _flush(self, t: int) -> None:
-        for r in self.robots:
-            if r.phase == MOVING and r.moves and r.moves[-1][4] and r.moves[-1][1] <= t:
-                r.phase = IDLE
-                r.pending = None
-                r.snapshot = None
 
     def _normalize_no_move(self, robot: int, t: int) -> None:
         r = self.robots[robot]
-        if r.phase == COMPUTED and r.pending is not None:
-            if r.pending[1] == r.position_at(t):
-                r.phase = IDLE
-                r.pending = None
-                r.snapshot = None
+        if r.phase == COMPUTED and r.pending == r.position_at(t):
+            r.phase, r.pending, r.snapshot = IDLE, None, None
 
     def step(
         self,
@@ -369,7 +339,6 @@ class Simulation:
         """
         if t < self.now:
             raise EngineError("times must be non-decreasing")
-        self._flush(t)
         # all Looks read the state before any of this instant's writes
         observed = {}
         for i in ROBOTS:
@@ -400,28 +369,27 @@ class Simulation:
             elif op in (OP_MB, OP_M):
                 if r.phase != COMPUTED:
                     raise IllegalOp(i, op, r.phase, t)
-                if op == OP_M:
-                    te, auto = t + 1, True
-                else:
-                    te, auto = move_ends[i], False
-                    if te is None or te <= t:
-                        raise EngineError(f"robot {i}: MB at t={t} without a later ME")
-                pos, dest, frac = r.position_at(t), r.pending[1], fractions[i]
+                te = t + 1 if op == OP_M else move_ends[i]
+                if te is None or te <= t:
+                    raise EngineError(f"robot {i}: MB at t={t} without a later ME")
+                pos, dest, frac = r.position_at(t), r.pending, fractions[i]
                 # a full move lands on its destination under either movement model
                 land = dest if frac is None else truncate_move(pos, dest, self.movement, frac)
-                r.moves.append((t, te, pos, land, auto))
+                r.moves.append((t, te, pos, land))
                 if land != pos:
                     # in flight up to the instant before the move ends
                     r.effective_until[-1] = te - 1
-                r.phase = MOVING
+                if op == OP_M:
+                    # an atomic move ends in its own slot
+                    r.phase, r.pending, r.snapshot = IDLE, None, None
+                else:
+                    r.phase = MOVING
             elif op == OP_ME:
-                if r.phase != MOVING or r.moves[-1][4] or r.moves[-1][1] != t:
+                if r.phase != MOVING or r.moves[-1][1] != t:
                     raise IllegalOp(i, op, r.phase, t)
                 if r.moves[-1][3] != r.moves[-1][2]:
                     r.effective_until[-1] = t
-                r.phase = IDLE
-                r.pending = None
-                r.snapshot = None
+                r.phase, r.pending, r.snapshot = IDLE, None, None
             else:
                 raise EngineError(f"unknown op {op!r}")
         self.now = t
@@ -434,7 +402,7 @@ class Simulation:
         if next_light != r.light_at(t):
             r.effective_until[-1] = t
         r.light_writes.append((t, next_light))
-        r.pending = (next_light, dest)
+        r.pending = dest
         r.phase = COMPUTED
 
 

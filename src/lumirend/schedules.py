@@ -27,6 +27,12 @@ ALL_OPS = (OP_LOOK, OP_COMP, OP_LC, OP_MB, OP_ME, OP_M, OP_NONE)
 LOOK_OPS = (OP_LOOK, OP_LC)
 ROBOTS = (0, 1)
 
+# a robot's phase within its Look-Compute-Move cycle
+IDLE = "idle"
+LOOKED = "looked"
+COMPUTED = "computed"
+MOVING = "moving"
+
 
 @dataclass(frozen=True)
 class Slot:
@@ -144,22 +150,18 @@ class Schedule:
         return Schedule.from_json_dict(json.loads(text))
 
 
-def block(op_rows: list[tuple], fractions: list[tuple] | None = None, start: int = 1) -> tuple[Slot, ...]:
-    """Build consecutive slots from rows of (op_r, op_s), starting at `start`."""
+def block(op_rows: list[tuple], fractions: list[tuple] | None = None) -> tuple[Slot, ...]:
+    """Build consecutive slots from rows of (op_r, op_s), starting at time 1."""
     slots = []
     for i, ops in enumerate(op_rows):
         fr = fractions[i] if fractions else (None, None)
-        slots.append(Slot(start + i, tuple(ops), tuple(fr)))
+        slots.append(Slot(1 + i, tuple(ops), tuple(fr)))
     return tuple(slots)
 
 
-def loop_schedule(op_rows: list[tuple], horizon: int, fractions: list[tuple] | None = None) -> Schedule:
+def loop_schedule(op_rows: list[tuple], horizon: int) -> Schedule:
     """A pure loop schedule over consecutive integer times."""
-    return Schedule(
-        prefix=(),
-        loop=LoopBlock(len(op_rows), block(op_rows, fractions)),
-        horizon=horizon,
-    )
+    return Schedule(loop=LoopBlock(len(op_rows), block(op_rows)), horizon=horizon)
 
 
 def alt(horizon: int = 64) -> Schedule:
@@ -200,14 +202,14 @@ class Violation:
 # LC merging Look+Comp, M merging MB+ME (end implied at t+1), and a cycle whose
 # movement turns out empty allowed to omit its move ops entirely.
 _NEXT_PHASE = {
-    ("idle", OP_LOOK): "looked",
-    ("idle", OP_LC): "computed",
-    ("looked", OP_COMP): "computed",
-    ("computed", OP_MB): "moving",
-    ("computed", OP_M): "idle",
-    ("computed", OP_LOOK): "looked",  # declared no-move cycle
-    ("computed", OP_LC): "computed",  # declared no-move cycle
-    ("moving", OP_ME): "idle",
+    (IDLE, OP_LOOK): LOOKED,
+    (IDLE, OP_LC): COMPUTED,
+    (LOOKED, OP_COMP): COMPUTED,
+    (COMPUTED, OP_MB): MOVING,
+    (COMPUTED, OP_M): IDLE,
+    (COMPUTED, OP_LOOK): LOOKED,  # declared no-move cycle
+    (COMPUTED, OP_LC): COMPUTED,  # declared no-move cycle
+    (MOVING, OP_ME): IDLE,
 }
 
 # The checks below read one robot's (time, op) list, its ops other than '-'
@@ -217,7 +219,7 @@ _NEXT_PHASE = {
 # No spacing check is needed: a Schedule's times strictly increase, so one
 # robot's ops are at least the one tick apart that Comp and M effects need.
 def _check_pattern(ops: list[tuple[int, str]], robot: int) -> list[Violation]:
-    phase = "idle"
+    phase = IDLE
     for t, op in ops:
         key = (phase, op)
         if key not in _NEXT_PHASE:
@@ -276,17 +278,22 @@ def _check_rounds(ops: tuple[list, list], cls: SchedulerClass) -> list[Violation
     return problems
 
 
-def check_legal(s: Schedule, cls: SchedulerClass, periods: int = 3) -> list[Violation]:
+# Loops are checked over this many unrolled periods, which covers every window
+# shape a longer unrolling can produce.
+_CHECK_PERIODS = 3
+
+
+def check_legal(s: Schedule, cls: SchedulerClass) -> list[Violation]:
     """Structural legality of a schedule under a scheduler class.
 
     Returns the list of violations (empty means legal): per-robot cycle order,
     atomic-op permissions, no foreign Look strictly inside a
     Look..Comp window (LC-atomic) or an MB..ME window (Move-atomic), and round
-    structure for FSYNC/SSYNC.  Loops are checked over a few unrolled periods,
-    which covers every window shape a longer unrolling can produce.
+    structure for FSYNC/SSYNC.  Loops are checked over `_CHECK_PERIODS`
+    unrolled periods.
     """
     if s.loop is not None:
-        limit = (s.prefix[-1].time if s.prefix else 0) + periods * s.loop.period
+        limit = (s.prefix[-1].time if s.prefix else 0) + _CHECK_PERIODS * s.loop.period
     else:
         limit = s.prefix[-1].time if s.prefix else 0
     problems: list[Violation] = []
@@ -337,7 +344,7 @@ def random_lc_atomic_schedule(rng, horizon: int = 64, fractions=None) -> Schedul
     so both robots keep cycling.  `fractions` optionally supplies the
     adversary's move-fraction pool for MB ops.
     """
-    phase = ["idle", "idle"]
+    phase = [IDLE, IDLE]
     me_due = [0, 0]
     idle_for = [0, 0]
     rows = []
@@ -345,21 +352,21 @@ def random_lc_atomic_schedule(rng, horizon: int = 64, fractions=None) -> Schedul
         ops = [OP_NONE, OP_NONE]
         fr: list = [None, None]
         for robot in ROBOTS:
-            if phase[robot] == "moving":
+            if phase[robot] == MOVING:
                 if me_due[robot] == t:
                     ops[robot] = OP_ME
-                    phase[robot] = "idle"
+                    phase[robot] = IDLE
                     idle_for[robot] = 0
-            elif phase[robot] == "computed":
+            elif phase[robot] == COMPUTED:
                 ops[robot] = OP_MB
                 if fractions:
                     fr[robot] = rng.choice(fractions)
-                phase[robot] = "moving"
+                phase[robot] = MOVING
                 me_due[robot] = t + rng.randint(1, 3)
             elif t + 4 <= horizon and (rng.random() < 0.5 or idle_for[robot] >= 3):
                 # leave room for the cycle's MB..ME to finish by the horizon
                 ops[robot] = OP_LC
-                phase[robot] = "computed"
+                phase[robot] = COMPUTED
                 idle_for[robot] = 0
             else:
                 idle_for[robot] += 1
@@ -368,12 +375,18 @@ def random_lc_atomic_schedule(rng, horizon: int = 64, fractions=None) -> Schedul
     return Schedule(prefix=tuple(rows))
 
 
+def starved_robot(slots) -> int | None:
+    """The first robot that starts no cycle (no Look or LC) in `slots`, or
+    None when both do."""
+    for robot in ROBOTS:
+        if not any(slot.ops[robot] in LOOK_OPS for slot in slots):
+            return robot
+    return None
+
+
 def check_fair(s: Schedule) -> int | None:
     """Fairness over the repeating loop: each robot must get at least one
     complete cycle per period.  Returns the starved robot, or None if fair."""
     if s.loop is None:
         raise ValueError("fairness is a property of infinite schedules; no loop present")
-    for robot in ROBOTS:
-        if not any(slot.op_of(robot) in LOOK_OPS for slot in s.loop.slots):
-            return robot
-    return None
+    return starved_robot(s.loop.slots)

@@ -48,9 +48,9 @@ from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .algorithms import builtin, orbit
+from .algorithms import BadParameter, builtin, orbit
 from .core import (
     ASYNC,
     FSYNC,
@@ -84,6 +84,7 @@ from .schedules import (
     Slot,
     block,
     mirror,
+    starved_robot,
 )
 
 # ---------------------------------------------------------------------------
@@ -267,10 +268,6 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _block_fair(slots: Sequence[Slot]) -> bool:
-    return all(any(s.op_of(r) in (OP_LOOK, OP_LC) for s in slots) for r in ROBOTS)
-
-
 def _check_block(cert: ScalingLoopCertificate, schedule: Schedule) -> None:
     """Raise the engine's rejection of an illegal block, as `run` would."""
     violations = sched.check_legal(schedule, cert.scheduler)
@@ -322,7 +319,7 @@ def validate_certificate(cert: ScalingLoopCertificate) -> None:
         raise CertificateError(f"ratio {cert.ratio} is not positive")
     if cert.entry_distance <= 0:
         raise CertificateError("entry distance must be positive")
-    if not _block_fair(cert.schedule_block):
+    if starved_robot(cert.schedule_block) is not None:
         raise CertificateError("block is unfair: a robot completes no cycle")
     c_r, c_s = cert.entry_colors
     d0 = cert.entry_distance
@@ -353,15 +350,12 @@ def validate_certificate(cert: ScalingLoopCertificate) -> None:
 # Rendezvous check and scaling-loop detection on traces
 
 
-def check_rendezvous(trace: Trace, certificate: ScalingLoopCertificate | None = None) -> Verdict:
-    """Rendezvous at the first distance-zero cycle start time; otherwise
-    Diverges when a validated certificate is attached, else inconclusive."""
+def check_rendezvous(trace: Trace) -> Verdict:
+    """Rendezvous at the first distance-zero cycle start time, else
+    inconclusive."""
     for t in trace.cs_times():
         if trace.distance_at(t) == 0:
             return Rendezvous(t)
-    if certificate is not None:
-        validate_certificate(certificate)
-        return Diverges(certificate)
     return Inconclusive(trace.end_time)
 
 
@@ -429,7 +423,7 @@ def detect_scaling_loop(trace: Trace) -> ScalingLoopCertificate | None:
             lo = bisect_left(slots, ti, key=slot_time)
             hi = bisect_left(slots, cs[j], lo, key=slot_time)
             blk = _sanitize_block(slots[lo:hi])
-            if not blk or not _block_fair(blk):
+            if not blk or starved_robot(blk) is not None:
                 continue
             cert = ScalingLoopCertificate(
                 graph=trace.graph,
@@ -490,12 +484,10 @@ def replay_paper_counterexample(name: str, lam=None, distance=1) -> ReplayResult
     scheduler = SchedulerClass.asynchronous(lc_atomic=True, move_atomic=True)
     movement = MovementModel.rigid()
 
-    if name == "lemma6_alg_a":
-        g, init = builtin("alg_a"), ("B", "C")
-        rows = _ALT + _SIM
-        rows = rows + _mirror_rows(rows)
-    elif name == "lemma7_alg_b":
-        g, init = builtin("alg_b"), ("B", "C")
+    if name in ("lemma6_alg_a", "lemma7_alg_b"):
+        if lam is not None:
+            raise BadParameter(f"{name} takes no coefficient")
+        g, init = builtin(name.split("_", 1)[1]), ("B", "C")
         rows = _ALT + _SIM
         rows = rows + _mirror_rows(rows)
     elif name == "lemma9_1":
@@ -1035,9 +1027,7 @@ def _search_fresh(g: LightGraph, cfg: SearchConfig, colors: tuple[str, str], d: 
     return Rendezvous(cfg.horizon)
 
 
-def search_one(
-    g: LightGraph, cfg: SearchConfig, colors: tuple[str, str], distance, prepass: bool = True
-) -> Verdict:
+def search_one(g: LightGraph, cfg: SearchConfig, colors: tuple[str, str], distance) -> Verdict:
     """Explore the adversary game from one initial configuration.
 
     For asynchronous classes a synchronous-rounds pre-pass runs first: round
@@ -1046,7 +1036,7 @@ def search_one(
     class, and it is far cheaper to find.  A rendezvous answer from the
     pre-pass proves nothing and falls through to the full search.
     """
-    if prepass and cfg.scheduler.kind == ASYNC:
+    if cfg.scheduler.kind == ASYNC:
         pre_cfg = SearchConfig(
             cfg.horizon,
             SchedulerClass.ssync(),
@@ -1058,16 +1048,6 @@ def search_one(
         if isinstance(pre, Diverges):
             return pre
     return _search_core(g, cfg, colors, distance)
-
-
-def adversary_search(
-    g: LightGraph, cfg: SearchConfig, initials: Iterable[tuple[tuple[str, str], object]]
-) -> dict:
-    """Verdict per initial configuration ((c_r, c_s), distance)."""
-    return {
-        (colors, rational(dist)): search_one(g, cfg, colors, dist)
-        for colors, dist in initials
-    }
 
 
 def reachable_cs_color_pairs(
@@ -1098,7 +1078,6 @@ class StabilizationReport:
     same_color: dict
     mixed: dict
     horizon: int
-    empirical: bool = True
 
 
 SELF_STABILIZING = "self-stabilizing"
@@ -1107,12 +1086,9 @@ NON_QUASI_SELF_STABILIZING = "non-quasi-self-stabilizing"
 NOT_SOLVING = "not-solving"
 
 
-def classify_stabilization(
-    g: LightGraph, scheduler: SchedulerClass, movement: MovementModel, cfg: SearchConfig, distance=1
-) -> StabilizationReport:
+def classify_stabilization(g: LightGraph, cfg: SearchConfig, distance=1) -> StabilizationReport:
     """Empirical, horizon-bounded classification from search verdicts over all
     ordered color-pair starts."""
-    cfg = SearchConfig(cfg.horizon, scheduler, movement, cfg.fraction_choices, cfg.max_states)
     same = {c: search_one(g, cfg, (c, c), distance) for c in g.colors}
     mixed = {
         (a, b): search_one(g, cfg, (a, b), distance)
@@ -1144,7 +1120,6 @@ class StructuralReport:
     """Presence of the three structurally necessary labels, per same-color
     start orbit, with the adversary family that defeats each absence."""
 
-    labels_present: frozenset
     per_start_missing: dict  # start color -> tuple of missing labels
 
     def missing_anywhere(self) -> bool:
@@ -1156,8 +1131,8 @@ _REQUIRED_PAIRS = tuple((x, (x.numerator, x.denominator)) for x in _REQUIRED)
 
 
 def structural_check(g: LightGraph) -> StructuralReport:
-    """The labels of `g`, and per same-color start the required labels (1/2,
-    1, 0) missing from its orbit.
+    """Per same-color start, the required labels (1/2, 1, 0) missing from
+    its orbit.
 
     Orbit labels are compared as (numerator, denominator) pairs, which
     determine a reduced Fraction: hashing the Fraction costs a modular
@@ -1168,7 +1143,7 @@ def structural_check(g: LightGraph) -> StructuralReport:
     for c in g.colors:
         labels = {pair_of[o] for o in orbit(g, c)}
         per_start[c] = tuple(x for x, pair in _REQUIRED_PAIRS if pair not in labels)
-    return StructuralReport(frozenset(g.labels()), per_start)
+    return StructuralReport(per_start)
 
 
 def missing_label_adversary(

@@ -143,7 +143,7 @@ def test_classify_shape_ss3():
     shape = classify_shape(builtin("ss3"))
     assert shape.scc_count == 1
     assert shape.cycle_lengths == (3,)
-    assert not shape.has_self_loop and not shape.has_two_cycle
+    assert shape.self_loops == () and shape.two_cycles == ()
 
 
 def test_classify_shape_nonqss3():

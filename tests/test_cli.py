@@ -229,6 +229,22 @@ def test_replay_side_condition(capsys):
     assert "alg6" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--alg", "qss4", "--init", "A,A"), "qss4 takes no coefficient"),
+        (("run", "--alg", "ss3", "--schedule", "alt", "--init", "A,A"), "ss3 takes no coefficient"),
+        (("replay", "lemma6_alg_a"), "lemma6_alg_a takes no coefficient"),
+        (("replay", "lemma7_alg_b"), "lemma7_alg_b takes no coefficient"),
+    ],
+)
+def test_lambda_is_rejected_where_no_coefficient_is_taken(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--lambda", "1/2")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_replay_validate_flag(tmp_path, capsys):
     out_file = tmp_path / "cert.json"
     run_cli(capsys, "replay", "lemma6_alg_a", "--out", str(out_file))

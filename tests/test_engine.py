@@ -5,7 +5,7 @@ import pytest
 
 from lumirend.algorithms import builtin, enumerate_graphs
 from lumirend.core import LightGraph, MovementModel, SchedulerClass, destination, transition
-from lumirend.engine import IllegalOp, Simulation, TraceStep, run
+from lumirend.engine import IDLE, IllegalOp, Simulation, TraceStep, run
 from lumirend.schedules import (
     Schedule,
     Slot,
@@ -40,10 +40,30 @@ RIGID = MovementModel.rigid()
 def test_lc_sets_pending_and_delays_color():
     simstate = Simulation(builtin("ss3"), lcmv(), RIGID, ["A", "A"], [F(0), F(1)])
     simstate.step(0, ("LC", "-"))
-    state = simstate.robot_state(0, 0)
-    assert state.pending == ("B", F(1, 2))
+    robot = simstate.robots[0]
+    assert robot.pending == F(1, 2)
+    assert robot.light_writes[-1] == (0, "B")
     assert simstate.light_at(0, 0) == "A"  # not yet observable
     assert simstate.light_at(0, 1) == "B"  # effective from the next instant
+
+
+def test_atomic_move_ends_in_its_own_slot():
+    # LC@1, M@2: robot 0 is idle again once its M has run
+    g = builtin("ss3")
+    with pytest.raises(IllegalOp):  # no move left for an ME to end
+        run(g, prefix([("LC", "-"), ("M", "-"), ("ME", "-")]), ("A", "A"), 1, lcmv(), RIGID, check=False)
+    tr = run(g, prefix([("LC", "-"), ("M", "-"), ("LC", "-")]), ("A", "A"), 1, lcmv(), RIGID, check=False)
+    assert tr.position_at(0, 3) == F(1, 2)
+    simstate = Simulation(g, lcmv(), RIGID, ["A", "A"], [F(0), F(1)])
+    simstate.step(1, ("LC", "-"))
+    simstate.step(2, ("M", "-"))
+    robot = simstate.robots[0]
+    assert robot.phase == IDLE
+    assert not robot.committed(g, 3)
+    simstate.step(3, ("LC", "LC"))
+    # robot 1 sees robot 0 landed; robot 0 computes from where it landed
+    assert simstate.robots[1].snapshot == ("B", F(1, 2))
+    assert robot.pending == F(3, 4)
 
 
 def test_look_at_comp_time_sees_former_color():
@@ -286,7 +306,7 @@ def _forward_light(robot, t):
 
 def _forward_position(robot, t):
     pos = robot.initial_pos
-    for tb, te, start, land, _auto in robot.moves:
+    for tb, te, start, land in robot.moves:
         if t <= tb:
             return pos
         if t >= te:
@@ -308,7 +328,7 @@ def test_history_lookups_match_a_forward_scan():
                     t = F(k, 2)
                     assert robot.position_at(t) == _forward_position(robot, t)
                     assert robot.light_at(t) == _forward_light(robot, t)
-                    mid_flight += any(tb < t < te and a != b for tb, te, a, b, _auto in robot.moves)
+                    mid_flight += any(tb < t < te and a != b for tb, te, a, b in robot.moves)
     assert mid_flight > 0  # some queries land inside a displacing move: the interpolation branch
 
 
@@ -411,7 +431,7 @@ def test_cycle_starts_match_the_reference():
             ops = [s.ops[i] for s in tr.steps if s.ops[i] != "-"]
             seen["split look"] += "COMP" in ops
             seen["declared no-move"] += any(a == "COMP" and b == "LOOK" for a, b in zip(ops, ops[1:]))
-            seen["idle move"] += any(start == land for _tb, _te, start, land, _a in tr._robots[i].moves)
+            seen["idle move"] += any(start == land for _tb, _te, start, land in tr._robots[i].moves)
             seen["cut move"] += bool(ops) and ops[-1] == "MB" and tr.rendezvous_time is not None
     assert all(seen.values()), seen
 

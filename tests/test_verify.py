@@ -21,7 +21,15 @@ from lumirend.core import (
     truncate_move,
 )
 from lumirend.engine import IllegalSchedule, run
-from lumirend.schedules import Schedule, Slot, block, mirror, random_lc_atomic_schedule, sim
+from lumirend.schedules import (
+    Schedule,
+    Slot,
+    block,
+    mirror,
+    random_lc_atomic_schedule,
+    sim,
+    starved_robot,
+)
 from lumirend.verify import (
     CertificateError,
     Diverges,
@@ -31,7 +39,6 @@ from lumirend.verify import (
     SearchConfig,
     SearchGraph,
     StructuralReport,
-    _block_fair,
     _canonical_key,
     _is_rendezvous_state,
     _key_movement,
@@ -84,8 +91,6 @@ def test_diverging_trace_is_inconclusive_without_certificate():
     res = replay_paper_counterexample("lemma6_alg_a")
     verdict = check_rendezvous(res.trace)
     assert isinstance(verdict, Inconclusive)
-    attached = check_rendezvous(res.trace, certificate=res.verdict.certificate)
-    assert isinstance(attached, Diverges)
 
 
 # -- scaling loop detection -----------------------------------------------------
@@ -129,7 +134,7 @@ def _reference_detect_scaling_loop(trace, dropped=None):
                 continue
             raw = [Slot(s.time, s.ops, s.fractions) for s in trace.steps if ti <= s.time < tj]
             blk = _sanitize_block(raw)
-            if not blk or not _block_fair(blk):
+            if not blk or starved_robot(blk) is not None:
                 continue
             cert = ScalingLoopCertificate(
                 trace.graph, trace.scheduler, trace.movement, ci.pair, ci.d, blk, cj.d / ci.d, swap
@@ -151,7 +156,9 @@ def _detection_traces():
         for movement in (RIGID, MovementModel.non_rigid(F(1, 8))):
             yield run(g, s, ("A", "B"), 1, lc, movement)
     for name in counterexample_names():
-        yield replay_paper_counterexample(name, F(1, 2)).trace
+        # the lemma 6 and 7 algorithms take no coefficient
+        lam = None if name in ("lemma6_alg_a", "lemma7_alg_b") else F(1, 2)
+        yield replay_paper_counterexample(name, lam).trace
     yield replay_paper_counterexample("lemma9_1", 0).trace
     yield replay_paper_counterexample("lemma9_2", 1).trace
     jobs = [
@@ -461,7 +468,7 @@ def test_early_stop_agrees_with_the_full_graph():
         for cfg in settings:
             for colors in ((a, b) for a in g.colors for b in g.colors):
                 want = _reference_search(g, cfg, colors, 1)
-                got = search_one(g, cfg, colors, 1, prepass=False)
+                got = verify._search_core(g, cfg, colors, 1)
                 if isinstance(got, Diverges):
                     validate_certificate(got.certificate)
                     if want.kind != "diverges":
@@ -502,7 +509,7 @@ def test_expanding_rigid_loops_diverge():
         cfg = SearchConfig(6, scheduler, RIGID)
         for g in enumerate_graphs(2, labels):
             for colors in product(g.colors, repeat=2):
-                verdict = search_one(g, cfg, colors, 1, prepass=False)
+                verdict = verify._search_core(g, cfg, colors, 1)
                 kinds.add(verdict.kind)
                 if verdict.kind == "diverges" and verdict.certificate.ratio > 1:
                     validate_certificate(verdict.certificate)
@@ -546,7 +553,7 @@ def test_fair_loop_without_a_clean_entry_keeps_its_reason(monkeypatch):
     graph = SearchGraph(g, cfg, (("A", "A"), (None, None), (F(0), F(1))))
     assert unclean(graph) and graph.certificate_from_scc(unclean(graph)) is None
     monkeypatch.setattr(SearchGraph, "fair_scc", unclean)
-    assert search_one(g, cfg, ("A", "A"), 1, prepass=False) == Inconclusive(4, NO_CLEAN_ENTRY)
+    assert verify._search_core(g, cfg, ("A", "A"), 1) == Inconclusive(4, NO_CLEAN_ENTRY)
 
 
 def test_search_stops_at_the_first_certified_depth(monkeypatch):
@@ -655,9 +662,9 @@ def test_a_relabeled_hit_carries_the_callers_colors_and_graph():
 )
 def test_search_rejects_a_bad_start(colors, distance, message):
     cfg = SearchConfig(horizon=8, scheduler=SchedulerClass.ssync(), movement=RIGID)
-    for prepass in (True, False):
+    for search in (search_one, verify._search_core):
         with pytest.raises(ValueError, match=message):
-            search_one(builtin("ss3"), cfg, colors, distance, prepass=prepass)
+            search(builtin("ss3"), cfg, colors, distance)
     assert not verify._MEMO
 
 
@@ -860,17 +867,6 @@ def test_search_children_match_the_reference():
     assert offered
 
 
-def test_adversary_search_maps_initials_to_verdicts():
-    from lumirend.verify import adversary_search
-
-    cfg = SearchConfig(horizon=40, scheduler=LC, movement=RIGID)
-    verdicts = adversary_search(
-        builtin("nonqss3"), cfg, [(("A", "A"), 1), (("B", "B"), "1/2")]
-    )
-    assert isinstance(verdicts[(("A", "A"), F(1))], Rendezvous)
-    assert isinstance(verdicts[(("B", "B"), F(1, 2))], Diverges)
-
-
 # -- structural necessities ---------------------------------------------------------
 
 
@@ -886,7 +882,7 @@ def _reference_structural_check(g):
     for c in g.colors:
         labels = orbit_labels(g, c)
         per_start[c] = tuple(x for x in (F(1, 2), F(1), F(0)) if x not in labels)
-    return StructuralReport(frozenset(g.labels()), per_start)
+    return StructuralReport(per_start)
 
 
 def test_structural_check_matches_the_fraction_set_reference():
@@ -1015,21 +1011,23 @@ def test_reachable_pairs_ss5_exclusions():
 
 def test_classify_nonqss3():
     cfg = SearchConfig(horizon=40, scheduler=LC, movement=RIGID)
-    report = classify_stabilization(builtin("nonqss3"), LC, RIGID, cfg)
+    report = classify_stabilization(builtin("nonqss3"), cfg)
     assert report.classification == "non-quasi-self-stabilizing"
     assert isinstance(report.same_color["A"], Rendezvous)
     assert isinstance(report.same_color["B"], Diverges)
+    # a distance given as a p/q string searches the same game
+    assert isinstance(search_one(builtin("nonqss3"), cfg, ("B", "B"), "1/2"), Diverges)
 
 
 def test_classify_qss4():
     cfg = SearchConfig(horizon=60, scheduler=LC, movement=NR4)
-    report = classify_stabilization(builtin("qss4"), LC, NR4, cfg)
+    report = classify_stabilization(builtin("qss4"), cfg)
     assert report.classification == "quasi-self-stabilizing"
 
 
 def test_classify_ss5():
     cfg = SearchConfig(horizon=80, scheduler=LC, movement=NR4)
-    report = classify_stabilization(builtin("ss5"), LC, NR4, cfg)
+    report = classify_stabilization(builtin("ss5"), cfg)
     assert report.classification == "self-stabilizing"
 
 
