@@ -9,7 +9,7 @@ the robots' roles swapped) while the distance shrinks by a fixed ratio.
 from fractions import Fraction
 
 from lumirend.core import format_rational
-from lumirend.verify import replay_paper_counterexample
+from lumirend.verify import replay_paper_counterexample, validate_certificate
 
 F = Fraction
 SAMPLES = (F(0), F(1, 3), F(1, 2), F(2, 3), F(1))
@@ -36,7 +36,7 @@ def describe(name, lam=None):
     print(f"  entry ({colors[0]},{colors[1]};{format_rational(d0)}), "
           f"loop ratio {format_rational(cert.ratio)}{swap}")
     print(f"  cycle-start chain: {chain}")
-    cert.validate()
+    validate_certificate(cert)
 
 
 def main():

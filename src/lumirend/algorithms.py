@@ -115,34 +115,24 @@ class ShapeDescriptor:
 def classify_shape(g: LightGraph) -> ShapeDescriptor:
     """Self-loops, mutual edges, SCC count, and the lengths of the functional
     graph's cycles (every color eventually falls onto exactly one cycle)."""
-    g.validate()
+    validate_graph(g)
     succ = {c: g.edges[c].target for c in g.colors}
     self_loops = tuple(c for c in g.colors if succ[c] == c)
     two_cycles = tuple(
         (a, succ[a]) for a in g.colors if succ[succ[a]] == a and succ[a] != a and a < succ[a]
     )
-    # cycles of the functional graph
+    # cycles of the functional graph: an orbit ends on its cycle, and the
+    # orbit of a color on a cycle is that cycle
     on_cycle: set[str] = set()
     for start in g.colors:
-        seen: dict[str, int] = {}
-        node, i = start, 0
-        while node not in seen:
-            seen[node] = i
-            node, i = succ[node], i + 1
-        cycle = [c for c, idx in seen.items() if idx >= seen[node]]
-        on_cycle.update(cycle)
+        path = orbit(g, start)
+        on_cycle.update(path[path.index(succ[path[-1]]):])
     cycles: list[tuple[str, ...]] = []
     visited: set[str] = set()
     for c in sorted(on_cycle):
-        if c in visited:
-            continue
-        cyc = [c]
-        node = succ[c]
-        while node != c:
-            cyc.append(node)
-            node = succ[node]
-        visited.update(cyc)
-        cycles.append(tuple(cyc))
+        if c not in visited:
+            cycles.append(orbit(g, c))
+            visited.update(cycles[-1])
     # SCC count: each cycle is one SCC; every off-cycle color is its own SCC
     scc_count = len(cycles) + len([c for c in g.colors if c not in on_cycle])
     return ShapeDescriptor(

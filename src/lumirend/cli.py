@@ -2,9 +2,10 @@
 replay the published counterexamples, and validate certificates.
 
 Exit codes mirror verdicts: 0 rendezvous, 2 divergence, 3 inconclusive,
-1 usage or validation error.  Output is byte-deterministic for identical
-flags; pass --timestamp to stamp reports (at the cost of reproducibility).
-Rationals on the command line are p/q strings; decimals are rejected.
+1 usage or validation error.  Each command takes only the flags it reads.
+Output is byte-deterministic for identical flags; `verify --timestamp`
+stamps the report (at the cost of reproducibility).  Rationals on the
+command line are p/q strings; decimals are rejected.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -51,20 +51,17 @@ from .verify import (
     replay_paper_counterexample,
     search_one,
     structural_check,
+    validate_certificate,
 )
 
 DEFAULT_HORIZON = 64
 SEARCH_CLASS = "async,lc-atomic"
+ENUMERATE_LIMIT = 1000
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_DIVERGES = 2
 EXIT_INCONCLUSIVE = 3
-
-
-def _default_horizon() -> int:
-    env = os.environ.get("LUMIREND_HORIZON")
-    return int(env) if env else DEFAULT_HORIZON
 
 
 def _parse_class(text: str) -> SchedulerClass:
@@ -85,19 +82,24 @@ def _parse_class(text: str) -> SchedulerClass:
 
 
 def _movement(args) -> MovementModel:
+    if args.rigid and args.nonrigid:
+        raise ValueError("--rigid and --nonrigid exclude each other")
     if args.nonrigid:
         if not args.delta:
             raise ValueError("--nonrigid requires --delta p/q")
         return MovementModel.non_rigid(rational(args.delta))
+    if args.delta:
+        raise ValueError("--delta requires --nonrigid")
     return MovementModel.rigid()
 
 
 def _graph(args) -> LightGraph:
     name = args.alg
-    if name and Path(name).suffix == ".json":
+    if Path(name).suffix == ".json":
+        if args.lam:
+            raise ValueError(f"{name} takes no coefficient")
         return LightGraph.from_json(Path(name).read_text())
-    lam = rational(args.lam) if getattr(args, "lam", None) else None
-    return builtin(name, lam)
+    return builtin(name, rational(args.lam) if args.lam else None)
 
 
 def _schedule(name: str, horizon: int) -> sched.Schedule:
@@ -209,9 +211,9 @@ def _survey_row(index: int, g: LightGraph, cfg: SearchConfig, dist: Fraction) ->
 def cmd_enumerate(args) -> int:
     labels = [rational(x) for x in args.labels.split(",")]
     total = count_graphs(args.colors, labels)
-    if total > args.limit and not args.force:
+    if total > ENUMERATE_LIMIT and not args.force:
         sys.stderr.write(
-            f"enumeration of {total} algorithms exceeds the limit of {args.limit}; pass --force\n"
+            f"enumeration of {total} algorithms exceeds the limit of {ENUMERATE_LIMIT}; pass --force\n"
         )
         return EXIT_ERROR
     scheduler = _parse_class(args.scheduler_class)
@@ -231,8 +233,13 @@ def cmd_enumerate(args) -> int:
 
 def cmd_replay(args) -> int:
     if args.validate:
+        # validation reads only the certificate and always reports on stdout
+        unread = {"a counterexample name": args.name, "--lambda": args.lam, "--dist": args.dist, "--out": args.out}
+        for what, value in unread.items():
+            if value is not None:
+                raise ValueError(f"--validate takes no {what}")
         cert = ScalingLoopCertificate.from_json(Path(args.validate).read_text())
-        cert.validate()
+        validate_certificate(cert)
         sys.stdout.write(
             f"certificate valid: pair {'/'.join(cert.entry_colors)}"
             f"{' swapped' if cert.swap else ''}, ratio {format_rational(cert.ratio)}\n"
@@ -241,35 +248,45 @@ def cmd_replay(args) -> int:
     if not args.name:
         raise ValueError("replay needs a counterexample name or --validate FILE")
     lam = rational(args.lam) if args.lam else None
-    result = replay_paper_counterexample(args.name, lam, rational(args.dist))
+    result = replay_paper_counterexample(args.name, lam, 1 if args.dist is None else rational(args.dist))
     cert = result.verdict.certificate
     _emit(cert.to_json() + "\n", args.out)
     return EXIT_DIVERGES
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1: argparse's 2 is the verdict code for divergence."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lumirend",
         description="simulate and verify two-robot rendezvous algorithms with external lights",
     )
-    parser.add_argument("--config", help="JSON file supplying default values for any flag")
+    parser.add_argument("--config", help="JSON file supplying default values for the command's flags")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scheduler_class="async"):
+    def model(p, scheduler_class):
         p.add_argument("--class", dest="scheduler_class", default=scheduler_class,
                        help="scheduler class: fsync | ssync | async, plus lc-atomic, move-atomic "
                             f"(default: {scheduler_class})")
         p.add_argument("--rigid", action="store_true", help="rigid movement (default)")
         p.add_argument("--nonrigid", action="store_true", help="non-rigid movement; needs --delta")
-        p.add_argument("--delta", help="minimum movement distance as p/q")
-        p.add_argument("--horizon", type=int, default=_default_horizon())
-        p.add_argument("--dist", default="1", help="initial distance as p/q")
-        p.add_argument("--lambda", dest="lam", help="coefficient for parameterized algorithms")
+        p.add_argument("--delta", help="minimum movement distance as p/q; needs --nonrigid")
+        p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
+
+    def common(p, lam=True, dist="1"):
+        p.add_argument("--dist", default=dist, help="initial distance as p/q (default: 1)")
+        if lam:
+            p.add_argument("--lambda", dest="lam", help="coefficient for parameterized algorithms")
         p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--timestamp", action="store_true",
-                       help="stamp reports with the current time (breaks reproducibility)")
 
     p = sub.add_parser("run", help="execute one schedule and export the trace")
+    model(p, "async")
     common(p)
     p.add_argument("--alg", required=True, help=f"builtin name ({', '.join(BUILTIN_NAMES)}) or graph JSON file")
     p.add_argument("--schedule", required=True, help="alt | sim | schedule JSON file")
@@ -280,42 +297,46 @@ def build_parser() -> argparse.ArgumentParser:
 
     # the search explores the LC-atomic fragment, so its commands default to it
     p = sub.add_parser("verify", help="classify stabilization by bounded adversary search")
-    common(p, SEARCH_CLASS)
+    model(p, SEARCH_CLASS)
+    common(p)
+    p.add_argument("--timestamp", action="store_true",
+                   help="stamp the report with the current time (breaks reproducibility)")
     p.add_argument("--alg", required=True)
     p.add_argument("--init", help="verify a single initial color pair instead of classifying")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("enumerate", help="survey all k-color algorithms")
-    common(p, SEARCH_CLASS)
+    model(p, SEARCH_CLASS)
+    common(p, lam=False)
     p.add_argument("--colors", type=int, required=True)
     p.add_argument("--labels", default="0,1/2,1", help="comma-separated rational labels")
-    p.add_argument("--force", action="store_true", help="allow oversized enumerations")
-    p.add_argument("--limit", type=int, default=1000, help="row limit guarded by --force")
+    p.add_argument("--force", action="store_true",
+                   help=f"allow enumerations of more than {ENUMERATE_LIMIT} algorithms")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("replay", help="replay a published counterexample schedule")
-    common(p)
+    common(p, dist=None)  # a --dist not given, which --validate checks
     p.add_argument("name", nargs="?", choices=counterexample_names(),
                    help="counterexample name")
     p.add_argument("--validate", help="re-run a certificate file instead of generating one")
     p.set_defaults(func=cmd_replay)
 
-    # subparsers parse into a fresh namespace, so config-file defaults must be
-    # installed on each of them, not only on the root parser
-    parser.all_parsers = [parser] + list(sub.choices.values())
+    parser.commands = sub.choices  # each command's own parser, by name
     return parser
 
 
-def _install_config(parser: argparse.ArgumentParser, path: str) -> None:
+def _install_config(parser: argparse.ArgumentParser, command: str, path: str) -> None:
+    """Install a config file's values as defaults on `command`'s own parser,
+    as subparsers parse into a fresh namespace; a key that is no flag of it is an error."""
     config = json.loads(Path(path).read_text())
     if not isinstance(config, dict):
         raise ValueError(f"{path} must hold a JSON object")
-    known = {action.dest for p in parser.all_parsers for action in p._actions}
+    p = parser.commands[command]
+    known = {action.dest for action in p._actions} - {"help"}
     unknown = sorted(set(config) - known)
     if unknown:
         raise ValueError(f"{path} sets unknown keys: {', '.join(unknown)}")
-    for p in parser.all_parsers:
-        p.set_defaults(**config)
+    p.set_defaults(**config)
 
 
 def main(argv=None) -> int:
@@ -323,7 +344,7 @@ def main(argv=None) -> int:
     args, _unknown = parser.parse_known_args(argv)
     try:
         if args.config:
-            _install_config(parser, args.config)
+            _install_config(parser, args.command, args.config)
         args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, KeyError, OSError, EngineError) as exc:

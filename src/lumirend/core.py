@@ -96,9 +96,6 @@ class LightGraph:
         validate_graph(g)
         return g
 
-    def validate(self) -> None:
-        validate_graph(self)
-
     def to_json_dict(self) -> dict:
         return {
             "colors": list(self.colors),

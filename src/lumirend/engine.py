@@ -44,6 +44,7 @@ from .core import (
     format_rational,
     transition,
     truncate_move,
+    validate_graph,
 )
 from . import schedules as sched
 from .schedules import (
@@ -286,6 +287,13 @@ class Trace:
         return "\n".join(rows) + "\n"
 
 
+def check_lights(g: LightGraph, lights) -> None:
+    """Reject a start whose initial lights are not all colors of `g`."""
+    for c in lights:
+        if c not in g.edges:
+            raise ValueError(f"initial light {c} not in the color set")
+
+
 class Simulation:
     """Mutable execution state driven one timed operation pair at a time."""
 
@@ -297,10 +305,8 @@ class Simulation:
         lights: Sequence[str],
         positions: Sequence[Fraction],
     ):
-        g.validate()
-        for c in lights:
-            if c not in g.colors:
-                raise ValueError(f"initial light {c} not in the color set")
+        validate_graph(g)
+        check_lights(g, lights)
         self.g = g
         self.scheduler = scheduler
         self.movement = movement
@@ -406,20 +412,6 @@ class Simulation:
         r.phase = COMPUTED
 
 
-def _me_times(slots: list[Slot]) -> dict[tuple[int, int], int]:
-    """Map (robot, MB time) -> ME time, for split moves."""
-    out = {}
-    open_mb: dict[int, int] = {}
-    for slot in slots:
-        for robot in ROBOTS:
-            op = slot.op_of(robot)
-            if op == OP_MB:
-                open_mb[robot] = slot.time
-            elif op == OP_ME and robot in open_mb:
-                out[(robot, open_mb.pop(robot))] = slot.time
-    return out
-
-
 def run(
     g: LightGraph,
     schedule: Schedule,
@@ -450,7 +442,8 @@ def run(
     simstate = Simulation(g, scheduler, movement, list(initial_colors), positions)
     r0, r1 = simstate.robots
     slots = list(schedule.unroll(horizon))
-    ends = _me_times(slots)
+    # per robot, the ME time of each split move by its MB time
+    ends = [sched.windows(slots, r, OP_MB, OP_ME) for r in ROBOTS]
 
     def met(t) -> bool:
         # rendezvous: one point, and no robot committed to a displacing move
@@ -460,7 +453,7 @@ def run(
         return Trace(g, scheduler, movement, simstate.robots, [], 0)
     for k, slot in enumerate(slots):
         t = slot.time
-        simstate.step(t, slot.ops, slot.fractions, (ends.get((0, t)), ends.get((1, t))))
+        simstate.step(t, slot.ops, slot.fractions, (ends[0].get(t), ends[1].get(t)))
         if stop_at_rendezvous and met(t + 1):
             return Trace(g, scheduler, movement, simstate.robots, slots[: k + 1], t + 1)
     return Trace(g, scheduler, movement, simstate.robots, slots, None)

@@ -43,9 +43,6 @@ class Slot:
     ops: tuple[str, str]
     fractions: tuple[Fraction | None, Fraction | None] = (None, None)
 
-    def op_of(self, robot: int) -> str:
-        return self.ops[robot]
-
 
 @dataclass(frozen=True)
 class LoopBlock:
@@ -164,16 +161,19 @@ def loop_schedule(op_rows: list[tuple], horizon: int) -> Schedule:
     return Schedule(loop=LoopBlock(len(op_rows), block(op_rows)), horizon=horizon)
 
 
+# the rows of the published alternate and simultaneous schedules
+ALT_ROWS = ((OP_LC, OP_NONE), (OP_NONE, OP_LC), (OP_M, OP_NONE), (OP_NONE, OP_M))
+SIM_ROWS = ((OP_LC, OP_LC), (OP_M, OP_M))
+
+
 def alt(horizon: int = 64) -> Schedule:
     """Alternate schedule: ([LC,-],[-,LC],[M,-],[-,M]) repeating."""
-    return loop_schedule(
-        [(OP_LC, OP_NONE), (OP_NONE, OP_LC), (OP_M, OP_NONE), (OP_NONE, OP_M)], horizon
-    )
+    return loop_schedule(ALT_ROWS, horizon)
 
 
 def sim(horizon: int = 64) -> Schedule:
     """Simultaneous schedule: ([LC,LC],[M,M]) repeating."""
-    return loop_schedule([(OP_LC, OP_LC), (OP_M, OP_M)], horizon)
+    return loop_schedule(SIM_ROWS, horizon)
 
 
 def mirror(s: Schedule) -> Schedule:
@@ -212,8 +212,8 @@ _NEXT_PHASE = {
     (MOVING, OP_ME): IDLE,
 }
 
-# The checks below read one robot's (time, op) list, its ops other than '-'
-# in time order.
+# The checks below, except `windows`, read one robot's (time, op) list, its ops
+# other than '-' in time order.
 
 
 # No spacing check is needed: a Schedule's times strictly increase, so one
@@ -230,14 +230,17 @@ def _check_pattern(ops: list[tuple[int, str]], robot: int) -> list[Violation]:
     return []
 
 
-def _windows(ops: list[tuple[int, str]], begin_op: str, end_op: str) -> list[tuple[int, int]]:
-    spans = []
+def windows(slots, robot: int, begin_op: str, end_op: str) -> dict[int, int]:
+    """Begin time -> end time of each of `robot`'s `begin_op`..`end_op`
+    windows in `slots`: an end closes the latest open begin."""
+    spans = {}
     open_t = None
-    for t, op in ops:
+    for slot in slots:
+        op = slot.ops[robot]
         if op == begin_op:
-            open_t = t
+            open_t = slot.time
         elif op == end_op and open_t is not None:
-            spans.append((open_t, t))
+            spans[open_t] = slot.time
             open_t = None
     return spans
 
@@ -298,7 +301,8 @@ def check_legal(s: Schedule, cls: SchedulerClass) -> list[Violation]:
         limit = s.prefix[-1].time if s.prefix else 0
     problems: list[Violation] = []
     ops: tuple[list, list] = ([], [])  # per robot: (time, op), ops other than '-'
-    for slot in s.unroll(horizon=limit):
+    slots = list(s.unroll(horizon=limit))
+    for slot in slots:
         t = slot.time
         for robot in ROBOTS:
             op = slot.ops[robot]
@@ -318,14 +322,14 @@ def check_legal(s: Schedule, cls: SchedulerClass) -> list[Violation]:
         problems.extend(_check_pattern(ops[robot], robot))
 
     look_times = [[t for t, op in ops[r] if op in LOOK_OPS] for r in ROBOTS]
-    windows = []
+    atomic = []
     if cls.lc_atomic:
-        windows.append(("lc-window", OP_LOOK, OP_COMP, "Look..Comp window"))
+        atomic.append(("lc-window", OP_LOOK, OP_COMP, "Look..Comp window"))
     if cls.move_atomic:
-        windows.append(("move-window", OP_MB, OP_ME, "move window"))
-    for kind, begin_op, end_op, name in windows:
+        atomic.append(("move-window", OP_MB, OP_ME, "move window"))
+    for kind, begin_op, end_op, name in atomic:
         for robot in ROBOTS:
-            for a, b in _windows(ops[robot], begin_op, end_op):
+            for a, b in windows(slots, robot, begin_op, end_op).items():
                 for t in look_times[1 - robot]:
                     if a < t < b:
                         problems.append(

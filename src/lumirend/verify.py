@@ -70,15 +70,19 @@ from .core import (
     scheduler_to_dict,
     transition,
     truncate_move,
+    validate_graph,
 )
 from . import schedules as sched
-from .engine import ConfigurationView, EngineError, IllegalSchedule, Trace, run
+from .engine import ConfigurationView, EngineError, IllegalSchedule, Trace, check_lights, run
 from .schedules import (
+    ALT_ROWS,
+    LOOK_OPS,
     OP_LC,
     OP_LOOK,
     OP_M,
     OP_NONE,
     ROBOTS,
+    SIM_ROWS,
     LoopBlock,
     Schedule,
     Slot,
@@ -211,11 +215,6 @@ class ScalingLoopCertificate:
     @staticmethod
     def from_json(text: str) -> "ScalingLoopCertificate":
         return ScalingLoopCertificate.from_json_dict(json.loads(text))
-
-    def validate(self) -> None:
-        """Re-run the block and check the recurrence it claims; raises
-        CertificateError if any obligation fails."""
-        validate_certificate(self)
 
 
 # The parts of `ScalingLoopCertificate.to_json` nested below its second
@@ -361,28 +360,24 @@ def check_rendezvous(trace: Trace) -> Verdict:
 
 def _sanitize_block(slots: list[Slot]) -> tuple[Slot, ...]:
     """Strip each robot's leading no-effect ops (they precede its first Look
-    and can be normalized out), then drop empty slots and rebase times."""
-    first_look = {}
+    and can be normalized out), then drop empty slots and rebase times.
+    Empty when a robot takes no Look: such a block is unfair."""
+    first_look = []
     for r in ROBOTS:
-        for s in slots:
-            if s.op_of(r) in (OP_LOOK, OP_LC):
-                first_look[r] = s.time
-                break
+        first = next((s.time for s in slots if s.ops[r] in LOOK_OPS), None)
+        if first is None:
+            return ()
+        first_look.append(first)
     cleaned = []
     for s in slots:
         ops = list(s.ops)
         fracs = list(s.fractions)
         for r in ROBOTS:
-            if r in first_look and s.time < first_look[r] and ops[r] != OP_NONE:
-                ops[r] = OP_NONE
-                fracs[r] = None
-            if r not in first_look and ops[r] != OP_NONE:
+            if s.time < first_look[r] and ops[r] != OP_NONE:
                 ops[r] = OP_NONE
                 fracs[r] = None
         if ops != [OP_NONE, OP_NONE]:
             cleaned.append(Slot(s.time, tuple(ops), tuple(fracs)))
-    if not cleaned:
-        return ()
     shift = cleaned[0].time - 1
     return tuple(Slot(s.time - shift, s.ops, s.fractions) for s in cleaned)
 
@@ -423,7 +418,7 @@ def detect_scaling_loop(trace: Trace) -> ScalingLoopCertificate | None:
             lo = bisect_left(slots, ti, key=slot_time)
             hi = bisect_left(slots, cs[j], lo, key=slot_time)
             blk = _sanitize_block(slots[lo:hi])
-            if not blk or starved_robot(blk) is not None:
+            if not blk:
                 continue
             cert = ScalingLoopCertificate(
                 graph=trace.graph,
@@ -446,16 +441,10 @@ def detect_scaling_loop(trace: Trace) -> ScalingLoopCertificate | None:
 # ---------------------------------------------------------------------------
 # Replays of the published counterexample schedules
 
-_ALT = [("LC", "-"), ("-", "LC"), ("M", "-"), ("-", "M")]
-_SIM = [("LC", "LC"), ("M", "M")]
 # one robot slips in an extra no-move cycle against the other's stale snapshot
-_EXT5 = [("-", "LC"), ("LC", "-"), ("-", "LC"), ("M", "-"), ("-", "M")]
+_EXT5 = (("-", "LC"), ("LC", "-"), ("-", "LC"), ("M", "-"), ("-", "M"))
 # the second robot completes a full extra cycle mid-block
-_EXT6 = [("-", "LC"), ("LC", "-"), ("-", "M"), ("-", "LC"), ("M", "-"), ("-", "M")]
-
-
-def _mirror_rows(rows):
-    return [(b, a) for a, b in rows]
+_EXT6 = (("-", "LC"), ("LC", "-"), ("-", "M"), ("-", "LC"), ("M", "-"), ("-", "M"))
 
 
 @dataclass(frozen=True)
@@ -488,29 +477,30 @@ def replay_paper_counterexample(name: str, lam=None, distance=1) -> ReplayResult
         if lam is not None:
             raise BadParameter(f"{name} takes no coefficient")
         g, init = builtin(name.split("_", 1)[1]), ("B", "C")
-        rows = _ALT + _SIM
-        rows = rows + _mirror_rows(rows)
+        # the alternate and simultaneous rows, then again with the roles exchanged
+        half = block(ALT_ROWS + SIM_ROWS)
+        rows = [s.ops for s in half + mirror(Schedule(prefix=half)).prefix]
     elif name == "lemma9_1":
         lam = rational(lam if lam is not None else 0)
         g = builtin("alg1", lam)
         if lam == 0:
-            init, rows = ("A", "C"), _SIM + _SIM
+            init, rows = ("A", "C"), SIM_ROWS + SIM_ROWS
         else:
-            init, rows = ("D", "A"), _ALT + _ALT
+            init, rows = ("D", "A"), ALT_ROWS + ALT_ROWS
     elif name == "lemma9_2":
         lam = rational(lam if lam is not None else 1)
         g = builtin("alg2", lam)
         if lam == 1:
-            init, rows = ("A", "B"), _SIM + _EXT5
+            init, rows = ("A", "B"), SIM_ROWS + _EXT5
         else:
-            init, rows = ("B", "C"), _ALT + _ALT
+            init, rows = ("B", "C"), ALT_ROWS + ALT_ROWS
     elif name in ("lemma9_3", "lemma9_4", "lemma9_5", "lemma9_6"):
         if lam is None:
             raise ValueError(f"{name} requires a coefficient")
         lam = rational(lam)
         g = builtin("alg" + name[-1], lam)
         init = ("A", "B")
-        rows = _ALT + _EXT6 if name == "lemma9_3" else _ALT + _ALT
+        rows = ALT_ROWS + _EXT6 if name == "lemma9_3" else ALT_ROWS + ALT_ROWS
     else:
         raise KeyError(f"unknown counterexample {name!r}")
 
@@ -527,6 +517,9 @@ def replay_paper_counterexample(name: str, lam=None, distance=1) -> ReplayResult
 # ---------------------------------------------------------------------------
 # Bounded adversary-game search
 
+# a search stops exploring, capped, once its graph holds more states than this
+MAX_STATES = 200_000
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -536,7 +529,6 @@ class SearchConfig:
     scheduler: SchedulerClass
     movement: MovementModel
     fraction_choices: tuple[Fraction, ...] = (Fraction(0), Fraction(1))
-    max_states: int = 200_000
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -759,7 +751,7 @@ class SearchGraph:
         self.g = g
         self.cfg = cfg
         self.nodes: dict = {}
-        self.capped = False  # set when exploration stops at cfg.max_states
+        self.capped = False  # set when exploration stops at MAX_STATES
         self.certificate: ScalingLoopCertificate | None = None  # set on an early stop
         self._explore(initial, stop_at_certificate)
 
@@ -776,7 +768,7 @@ class SearchGraph:
                 node = self.nodes[key]
                 if node.rendezvous or node.depth >= cfg.horizon:
                     continue
-                if len(self.nodes) > cfg.max_states:
+                if len(self.nodes) > MAX_STATES:
                     self.capped = True
                     return
                 node.expanded = True
@@ -793,14 +785,11 @@ class SearchGraph:
             # a complete graph (closed, or at the horizon) is tested once, by the caller
             if stop_at_certificate and frontier and depth == milestone and depth < cfg.horizon:
                 milestone *= 2
-                comp = self.fair_scc()
-                if comp is not None:
-                    try:
-                        self.certificate = self.certificate_from_scc(comp)
-                    except CertificateError:
-                        continue  # a rejected loop: explore on
-                    if self.certificate is not None:
-                        return
+                # a fair loop without a certificate: explore on
+                verdict = self.fair_loop_verdict()
+                if isinstance(verdict, Diverges):
+                    self.certificate = verdict.certificate
+                    return
 
     # -- strongly connected components over non-rendezvous nodes ------------
 
@@ -869,6 +858,20 @@ class SearchGraph:
             if seen == {0, 1}:
                 return sorted(members, key=lambda k: self.nodes[k].index)
         return None
+
+    def fair_loop_verdict(self) -> Verdict | None:
+        """The verdict of the first fair SCC, if there is one: Diverges with
+        its certificate, or Inconclusive when it yields none."""
+        comp = self.fair_scc()
+        if comp is None:
+            return None
+        try:
+            cert = self.certificate_from_scc(comp)
+        except CertificateError as exc:
+            return Inconclusive(self.cfg.horizon, f"fair loop found but its certificate is rejected: {exc}")
+        if cert is None:
+            return Inconclusive(self.cfg.horizon, "fair loop found but no clean certificate entry")
+        return Diverges(cert)
 
     def open_frontier(self) -> bool:
         return any(not n.expanded and not n.rendezvous for n in self.nodes.values())
@@ -980,9 +983,7 @@ def _search_core(g: LightGraph, cfg: SearchConfig, colors: tuple[str, str], dist
     d = rational(distance)
     if d < 0:
         raise ValueError("initial distance must be non-negative")
-    for c in colors:
-        if c not in g.edges:
-            raise ValueError(f"initial light {c} not in the color set")
+    check_lights(g, colors)
     number = _numbering(g, colors)
     key = _class_key(g, cfg, colors, d, number)
     held = _MEMO.get(key)
@@ -1011,17 +1012,11 @@ def _search_fresh(g: LightGraph, cfg: SearchConfig, colors: tuple[str, str], d: 
     graph = SearchGraph(g, cfg, initial, stop_at_certificate=True)
     if graph.certificate is not None:
         return Diverges(graph.certificate)
-    comp = graph.fair_scc()
-    if comp is not None:
-        try:
-            cert = graph.certificate_from_scc(comp)
-        except CertificateError as exc:
-            return Inconclusive(cfg.horizon, f"fair loop found but its certificate is rejected: {exc}")
-        if cert is not None:
-            return Diverges(cert)
-        return Inconclusive(cfg.horizon, "fair loop found but no clean certificate entry")
+    verdict = graph.fair_loop_verdict()
+    if verdict is not None:
+        return verdict
     if graph.capped:
-        return Inconclusive(cfg.horizon, f"open branches remain; state cap of {cfg.max_states} reached")
+        return Inconclusive(cfg.horizon, f"open branches remain; state cap of {MAX_STATES} reached")
     if graph.open_frontier():
         return Inconclusive(cfg.horizon, "open branches remain; horizon too small")
     return Rendezvous(cfg.horizon)
@@ -1042,7 +1037,6 @@ def search_one(g: LightGraph, cfg: SearchConfig, colors: tuple[str, str], distan
             SchedulerClass.ssync(),
             cfg.movement,
             cfg.fraction_choices,
-            cfg.max_states,
         )
         pre = _search_core(g, pre_cfg, colors, distance)
         if isinstance(pre, Diverges):
@@ -1137,7 +1131,7 @@ def structural_check(g: LightGraph) -> StructuralReport:
     Orbit labels are compared as (numerator, denominator) pairs, which
     determine a reduced Fraction: hashing the Fraction costs a modular
     inverse."""
-    g.validate()
+    validate_graph(g)
     pair_of = {c: (e.lam.numerator, e.lam.denominator) for c, e in g.edges.items()}
     per_start = {}
     for c in g.colors:
@@ -1169,8 +1163,7 @@ def missing_label_adversary(
     if missing not in _REQUIRED:
         raise ValueError(f"missing must be one of the labels 1/2, 1 and 0, not {missing}")
     # the policy reads the start's edge before the engine could reject it
-    if start not in g.colors:
-        raise ValueError(f"initial light {start} not in the color set")
+    check_lights(g, (start,))
     together, answer_jumps = missing == Fraction(1, 2), missing == 0
     lights = [start, start]
     rows: list[tuple[str, str]] = []

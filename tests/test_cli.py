@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from lumirend.algorithms import builtin
 from lumirend.cli import main
 from lumirend.schedules import random_lc_atomic_schedule
-from lumirend.verify import ScalingLoopCertificate, replay_paper_counterexample
+from lumirend.verify import ScalingLoopCertificate, replay_paper_counterexample, validate_certificate
 
 
 def run_cli(capsys, *argv):
@@ -220,7 +222,7 @@ def test_replay_writes_validated_certificate(tmp_path, capsys):
     assert code == 2
     cert = ScalingLoopCertificate.from_json(out_file.read_text())
     assert cert.ratio == Fraction(3, 8)
-    cert.validate()
+    validate_certificate(cert)
 
 
 def test_replay_side_condition(capsys):
@@ -236,13 +238,35 @@ def test_replay_side_condition(capsys):
         (("run", "--alg", "ss3", "--schedule", "alt", "--init", "A,A"), "ss3 takes no coefficient"),
         (("replay", "lemma6_alg_a"), "lemma6_alg_a takes no coefficient"),
         (("replay", "lemma7_alg_b"), "lemma7_alg_b takes no coefficient"),
+        (("verify", "--alg", "{graph}", "--init", "A,A"), "{graph} takes no coefficient"),
     ],
 )
-def test_lambda_is_rejected_where_no_coefficient_is_taken(capsys, argv, message):
-    code, out, err = run_cli(capsys, *argv, "--lambda", "1/2")
+def test_lambda_is_rejected_where_no_coefficient_is_taken(tmp_path, capsys, argv, message):
+    graph = tmp_path / "ss3.json"
+    graph.write_text(builtin("ss3").to_json())
+    code, out, err = run_cli(capsys, *(a.format(graph=graph) for a in argv), "--lambda", "1/2")
     assert code == 1
     assert out == ""
-    assert err == f"error: {message}\n"
+    assert err == f"error: {message.format(graph=graph)}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--alg", "ss3", "--schedule", "alt", "--init", "A,A", "--class", "lc-atomic"),
+        ("verify", "--alg", "ss3", "--init", "A,A", "--horizon", "16"),
+        ("enumerate", "--colors", "1", "--horizon", "8"),
+    ],
+)
+@pytest.mark.parametrize(
+    "movement, message",
+    [
+        (("--delta", "1/4"), "--delta requires --nonrigid"),
+        (("--rigid", "--nonrigid", "--delta", "1/4"), "--rigid and --nonrigid exclude each other"),
+    ],
+)
+def test_movement_flags_must_agree(capsys, argv, movement, message):
+    assert run_cli(capsys, *argv, *movement) == (1, "", f"error: {message}\n")
 
 
 def test_replay_validate_flag(tmp_path, capsys):
@@ -251,6 +275,22 @@ def test_replay_validate_flag(tmp_path, capsys):
     code, out, _err = run_cli(capsys, "replay", "--validate", str(out_file))
     assert code == 2
     assert "ratio 1/4" in out
+
+
+@pytest.mark.parametrize(
+    "extra, what",
+    [
+        (("lemma6_alg_a",), "a counterexample name"),
+        (("--lambda", "1/2"), "--lambda"),
+        (("--dist", "1"), "--dist"),
+        (("--out", "copy.json"), "--out"),
+    ],
+)
+def test_replay_validate_takes_no_replay_flags(tmp_path, capsys, extra, what):
+    cert_file = tmp_path / "cert.json"
+    run_cli(capsys, "replay", "lemma6_alg_a", "--out", str(cert_file))
+    code, out, err = run_cli(capsys, "replay", "--validate", str(cert_file), *extra)
+    assert (code, out, err) == (1, "", f"error: --validate takes no {what}\n")
 
 
 def test_replay_validate_rejects_tampering(tmp_path, capsys):
@@ -300,24 +340,18 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         config.write_text(text)
         code, _out, err = run_cli(capsys, "--config", str(config), "enumerate", "--colors", "1")
         assert code == 1 and err.startswith("error:")
+    # a flag of another command is no key of this one
+    config.write_text(json.dumps({"schedule": "alt"}))
+    code, out, err = run_cli(
+        capsys, "--config", str(config), "enumerate", "--colors", "1", "--class", "ssync",
+    )
+    assert (code, out, err) == (1, "", f"error: {config} sets unknown keys: schedule\n")
     absent = tmp_path / "absent.json"
     code, _out, err = run_cli(capsys, "--config", str(absent), "enumerate", "--colors", "1")
     assert code == 1 and err.startswith("error:")
 
 
-def test_env_horizon_override(monkeypatch, capsys):
-    monkeypatch.setenv("LUMIREND_HORIZON", "6")
-    code, out, _err = run_cli(
-        capsys, "run", "--alg", "ss3", "--schedule", "alt", "--init", "A,A",
-        "--class", "lc-atomic,move-atomic",
-    )
-    assert code == 3  # too short to conclude anything
-    assert len(out.splitlines()) == 6
-
-
 def test_graph_file_input(tmp_path, capsys):
-    from lumirend.algorithms import builtin
-
     path = tmp_path / "graph.json"
     path.write_text(builtin("ss3").to_json())
     code, out, _err = run_cli(
@@ -326,6 +360,48 @@ def test_graph_file_input(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out.splitlines()[-1])["distance"] == "0/1"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("verify", "--alg", "ss3", "--bogus"), 1),  # an unknown flag
+        (("verify",), 1),  # a missing required flag
+        ((), 1),  # no command
+        (("replay", "lemma9_3", "--class", "ssync"), 1),  # a flag replay does not take
+        (("verify", "--help"), 0),
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv, code):
+    # exit code 2 is the verdict code for divergence
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and err.startswith("usage: lumirend") and "error:" in err
+    else:
+        assert out.startswith("usage: lumirend verify") and err == ""
+
+
+MODEL_FLAGS = {"--class", "--rigid", "--nonrigid", "--delta", "--horizon"}
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("run", MODEL_FLAGS | {"--dist", "--lambda", "--out", "--alg", "--schedule", "--init",
+                               "--format", "--cert-out"}),
+        ("verify", MODEL_FLAGS | {"--dist", "--lambda", "--out", "--timestamp", "--alg", "--init"}),
+        ("enumerate", MODEL_FLAGS | {"--dist", "--out", "--colors", "--labels", "--force"}),
+        ("replay", {"--dist", "--lambda", "--out", "--validate"}),
+    ],
+)
+def test_each_command_lists_exactly_its_flags(capsys, monkeypatch, command, flags):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert set(re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)) == flags
 
 
 def test_python_dash_m_runs_the_cli():

@@ -152,7 +152,7 @@ def test_prefix_times_must_increase():
 
 
 def _ref_robot_ops(slots, robot):
-    return [(s.time, s.op_of(robot)) for s in slots if s.op_of(robot) != OP_NONE]
+    return [(s.time, s.ops[robot]) for s in slots if s.ops[robot] != OP_NONE]
 
 
 def _ref_check_pattern(slots, robot):
@@ -185,7 +185,7 @@ def _ref_check_rounds(slots, cls):
     lc_times = {0: [], 1: []}
     for s in slots:
         for robot in ROBOTS:
-            op = s.op_of(robot)
+            op = s.ops[robot]
             if op in (OP_LOOK, OP_COMP, OP_MB, OP_ME):
                 problems.append(
                     Violation("round-structure", robot, (s.time,), f"{op} not allowed under {cls.kind}: cycles are atomic rounds")
@@ -196,12 +196,12 @@ def _ref_check_rounds(slots, cls):
                 move_ticks.add(s.time)
     for robot in ROBOTS:
         lc_set = set(lc_times[robot])
-        for t in (s.time for s in slots if s.op_of(robot) == OP_M):
+        for t in (s.time for s in slots if s.ops[robot] == OP_M):
             if t - 1 not in lc_set:
                 problems.append(Violation("round-structure", robot, (t,), f"M at t={t} is not adjacent to its LC"))
     for s in slots:
         for robot in ROBOTS:
-            if s.op_of(robot) == OP_LC and s.time in move_ticks:
+            if s.ops[robot] == OP_LC and s.time in move_ticks:
                 problems.append(
                     Violation("round-structure", robot, (s.time,), f"Look at t={s.time} coincides with a move tick")
                 )
@@ -221,7 +221,7 @@ def _reference_check_legal(s, cls, periods=3):
     problems = []
     for slot in slots:
         for robot in ROBOTS:
-            op = slot.op_of(robot)
+            op = slot.ops[robot]
             if op not in ALL_OPS:
                 problems.append(Violation("unknown-op", robot, (slot.time,), f"unknown op {op!r}"))
             if op == OP_LC and not cls.lc_atomic:

@@ -412,11 +412,13 @@ def test_search_fsync_full_moves_halve_from_pivot():
     assert isinstance(verdict, Rendezvous)
 
 
-def test_search_state_cap_reports_its_own_reason():
+def test_search_state_cap_reports_its_own_reason(monkeypatch):
     # the graph closes without a cap (rendezvous); a cap of 111 states stops
     # it at depth 10, far below the horizon
     g = builtin("ss5")
-    capped = search_one(g, SearchConfig(64, LC, NR4, max_states=111), ("A", "A"), 1)
+    with monkeypatch.context() as m:
+        m.setattr(verify, "MAX_STATES", 111)
+        capped = search_one(g, SearchConfig(64, LC, NR4), ("A", "A"), 1)
     assert isinstance(capped, Inconclusive)
     assert capped.reason == "open branches remain; state cap of 111 reached"
     assert isinstance(search_one(g, SearchConfig(64, LC, NR4), ("A", "A"), 1), Rendezvous)
@@ -441,7 +443,7 @@ def _reference_search(g, cfg, colors, distance):
             return Inconclusive(cfg.horizon, REJECTED + str(exc))
         return Diverges(cert) if cert is not None else Inconclusive(cfg.horizon, NO_CLEAN_ENTRY)
     if graph.capped:
-        return Inconclusive(cfg.horizon, f"open branches remain; state cap of {cfg.max_states} reached")
+        return Inconclusive(cfg.horizon, f"open branches remain; state cap of {verify.MAX_STATES} reached")
     if graph.open_frontier():
         return Inconclusive(cfg.horizon, "open branches remain; horizon too small")
     return Rendezvous(cfg.horizon)
