@@ -8,7 +8,7 @@ from itertools import product
 from string import ascii_uppercase
 from typing import Iterable, Iterator
 
-from .core import Edge, LightGraph, rational, validate_graph
+from .core import Edge, LightGraph, format_rational, rational, validate_graph
 
 
 class BadParameter(ValueError):
@@ -73,6 +73,17 @@ def builtin(name: str, lam=None) -> LightGraph:
     raise KeyError(f"unknown algorithm {name!r}")
 
 
+def _label_list(labels: Iterable) -> list[Fraction]:
+    """The labels as rationals: at least one, none given twice."""
+    label_list = [rational(x) for x in labels]
+    if not label_list:
+        raise ValueError("need at least one label")
+    for i, lam in enumerate(label_list):
+        if lam in label_list[:i]:
+            raise ValueError(f"label {format_rational(lam)} given twice")
+    return label_list
+
+
 def enumerate_graphs(k: int, labels: Iterable) -> Iterator[LightGraph]:
     """Every k-color out-degree-one graph with every label assignment.
 
@@ -84,9 +95,7 @@ def enumerate_graphs(k: int, labels: Iterable) -> Iterator[LightGraph]:
         raise ValueError("need at least one color")
     if k > len(ascii_uppercase):
         raise ValueError("at most 26 colors supported")
-    label_list = [rational(x) for x in labels]
-    if not label_list:
-        raise ValueError("need at least one label")
+    label_list = _label_list(labels)
     colors = tuple(ascii_uppercase[:k])
     # the k * len(labels) distinct edges, shared by every graph (an Edge is
     # frozen); each graph still gets its own edge map and its validation
@@ -99,7 +108,7 @@ def enumerate_graphs(k: int, labels: Iterable) -> Iterator[LightGraph]:
 
 
 def count_graphs(k: int, labels: Iterable) -> int:
-    return k**k * len(list(labels)) ** k
+    return k**k * len(_label_list(labels)) ** k
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -103,11 +104,12 @@ def _graph(args) -> LightGraph:
 
 
 def _schedule(name: str, horizon: int) -> sched.Schedule:
+    """The named or file schedule, cut at `horizon`."""
     if name == "alt":
         return sched.alt(horizon)
     if name == "sim":
         return sched.sim(horizon)
-    return sched.Schedule.from_json(Path(name).read_text())
+    return dataclasses.replace(sched.Schedule.from_json(Path(name).read_text()), horizon=horizon)
 
 
 def _parse_init(text: str) -> tuple[str, str]:
@@ -140,7 +142,7 @@ def cmd_run(args) -> int:
         raise ValueError("horizon must be at least 1")
     schedule = _schedule(args.schedule, args.horizon)
     init = _parse_init(args.init)
-    trace = run(g, schedule, init, rational(args.dist), scheduler, movement, horizon=args.horizon)
+    trace = run(g, schedule, init, rational(args.dist), scheduler, movement)
     _emit(trace.to_csv() if args.format == "csv" else trace.to_jsonl(), args.out)
     verdict = check_rendezvous(trace)
     if isinstance(verdict, Rendezvous):

@@ -33,11 +33,22 @@ def rational(value) -> Fraction:
         text = value.strip()
         if "." in text or "e" in text.lower():
             raise ValueError(f"decimal notation not accepted: {value!r}; use p/q")
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+        num, slash, den = text.partition("/")
+        try:
+            return Fraction(int(num), int(den) if slash else 1)
+        except ValueError:
+            raise ValueError(f"not a rational p/q: {value!r}") from None
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def start_distance(value) -> Fraction:
+    """The robots' initial distance: an exact rational (`rational`), not negative."""
+    d = rational(value)
+    if d < 0:
+        raise ValueError("initial distance must be non-negative")
+    return d
 
 
 def format_rational(q: Fraction) -> str:

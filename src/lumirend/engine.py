@@ -42,6 +42,7 @@ from .core import (
     SchedulerClass,
     destination,
     format_rational,
+    start_distance,
     transition,
     truncate_move,
     validate_graph,
@@ -148,6 +149,11 @@ class _Robot:
         _nl, lam = transition(g, self.snapshot[0])
         return destination(here, self.snapshot[1], lam) != here
 
+    def mid_cycle(self, g: LightGraph, t) -> bool:
+        """At a trace's end t: `committed`, or owing a Compute that changes its color."""
+        owes_color = self.phase == LOOKED and transition(g, self.snapshot[0])[0] != self.light_at(t)
+        return owes_color or self.committed(g, t)
+
 
 @dataclass(frozen=True)
 class TraceStep:
@@ -177,7 +183,7 @@ class Trace:
         self.slots: list[Slot] = slots
         self.rendezvous_time = rendezvous_time
         self.end_time = slots[-1].time + 1 if slots else 0
-        self._committed_at_end = tuple(r.committed(graph, self.end_time) for r in robots)
+        self._open_at_end = tuple(r.mid_cycle(graph, self.end_time) for r in robots)
 
     @cached_property
     def steps(self) -> list[TraceStep]:
@@ -225,7 +231,7 @@ class Trace:
 
     def is_cs(self, t: int) -> bool:
         """Whether t is a cycle start time (see `cs_times`)."""
-        for r, open_end in zip(self._robots, self._committed_at_end):
+        for r, open_end in zip(self._robots, self._open_at_end):
             k = bisect_left(r.looks, t)  # cycles whose Look came before t
             if k and (t <= r.effective_until[k - 1] or (open_end and k == len(r.looks))):
                 return False
@@ -242,8 +248,9 @@ class Trace:
         color, and the move's last instant if the move displaced the robot:
         the time of an atomic M, the ME of a split move, or, for a split move
         cut off by the rendezvous, the instant before its ME was due.  A last
-        cycle that leaves the robot committed to a displacing move when the
-        trace ends has no last effective instant."""
+        cycle still open at the trace's end has none if it leaves the robot
+        committed to a displacing move or owing a Compute that changes the
+        color; a Compute that changes nothing normalizes away."""
         candidates = {0, self.end_time}
         candidates.update(s.time for s in self.slots)
         return [t for t in sorted(candidates) if self.is_cs(t)]
@@ -326,11 +333,6 @@ class Simulation:
 
     # -- the step relation -------------------------------------------------
 
-    def _normalize_no_move(self, robot: int, t: int) -> None:
-        r = self.robots[robot]
-        if r.phase == COMPUTED and r.pending == r.position_at(t):
-            r.phase, r.pending, r.snapshot = IDLE, None, None
-
     def step(
         self,
         t: int,
@@ -357,7 +359,9 @@ class Simulation:
                 continue
             r = self.robots[i]
             if op in (OP_LOOK, OP_LC):
-                self._normalize_no_move(i, t)
+                # a computed cycle that needs no move ends at the next Look
+                if r.phase == COMPUTED and r.pending == r.position_at(t):
+                    r.phase, r.pending, r.snapshot = IDLE, None, None
                 if r.phase != IDLE:
                     raise IllegalOp(i, op, r.phase, t)
                 r.snapshot = observed[i]
@@ -420,28 +424,26 @@ def run(
     scheduler: SchedulerClass,
     movement: MovementModel,
     positions: tuple[Fraction, Fraction] | None = None,
-    horizon: int | None = None,
     check: bool = True,
     stop_at_rendezvous: bool = True,
 ) -> Trace:
     """Execute a schedule deterministically and return the full trace.
 
     The robots start at positions 0 and `initial_distance` unless explicit
-    positions are given.  The run stops at the end of the schedule, at the
-    horizon, or as soon as the robots share a point with no pending movement.
+    positions are given.  The run stops at the end of the schedule (cut at
+    `Schedule.horizon`), or at the first instant at which the robots share a
+    point with no robot committed to a displacing move: the trace's
+    `rendezvous_time` (None with `stop_at_rendezvous=False`).
     """
     if check:
         violations = sched.check_legal(schedule, scheduler)
         if violations:
             raise IllegalSchedule(violations)
     if positions is None:
-        d = Fraction(initial_distance)
-        if d < 0:
-            raise ValueError("initial distance must be non-negative")
-        positions = (Fraction(0), d)
+        positions = (Fraction(0), start_distance(initial_distance))
     simstate = Simulation(g, scheduler, movement, list(initial_colors), positions)
     r0, r1 = simstate.robots
-    slots = list(schedule.unroll(horizon))
+    slots = list(schedule.unroll())
     # per robot, the ME time of each split move by its MB time
     ends = [sched.windows(slots, r, OP_MB, OP_ME) for r in ROBOTS]
 

@@ -68,12 +68,12 @@ from .core import (
     rational,
     scheduler_from_dict,
     scheduler_to_dict,
+    start_distance,
     transition,
     truncate_move,
     validate_graph,
 )
-from . import schedules as sched
-from .engine import ConfigurationView, EngineError, IllegalSchedule, Trace, check_lights, run
+from .engine import ConfigurationView, EngineError, Trace, check_lights, run
 from .schedules import (
     ALT_ROWS,
     LOOK_OPS,
@@ -267,26 +267,10 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _check_block(cert: ScalingLoopCertificate, schedule: Schedule) -> None:
-    """Raise the engine's rejection of an illegal block, as `run` would."""
-    violations = sched.check_legal(schedule, cert.scheduler)
-    if violations:
-        raise CertificateError(f"the engine rejects the block: {IllegalSchedule(violations)}")
-
-
-def _replay_block(cert: ScalingLoopCertificate, schedule: Schedule, colors, distance) -> ConfigurationView:
-    """Run a block that `_check_block` accepted and return its end state."""
+def _replay_block(cert: ScalingLoopCertificate, schedule: Schedule, colors, distance, check) -> ConfigurationView:
+    """Run a block, checked for legality when `check` is set; its end state."""
     try:
-        trace = run(
-            cert.graph,
-            schedule,
-            colors,
-            distance,
-            cert.scheduler,
-            cert.movement,
-            check=False,
-            stop_at_rendezvous=True,
-        )
+        trace = run(cert.graph, schedule, colors, distance, cert.scheduler, cert.movement, check=check)
     except EngineError as exc:
         raise CertificateError(f"the engine rejects the block: {exc}") from exc
     if trace.rendezvous_time is not None:
@@ -300,10 +284,12 @@ def validate_certificate(cert: ScalingLoopCertificate) -> None:
     """Replay the block twice through the engine and check the recurrence it
     claims; raises CertificateError if any obligation fails.
 
-    The first replay, from the entry colors at the entry distance d, must end
-    at a clean cycle start with the recurring pair at distance ratio * d; the
-    second, of the block (mirrored for a swap) from there, must restore the
-    entry pair at ratio^2 * d, with no rendezvous in either.  Any ratio > 0
+    The first replay, from the entry colors at the entry distance d, checks
+    the block's legality and must end at a clean cycle start (`Trace.is_cs`)
+    with the recurring pair at distance ratio * d; the second, of the block
+    (mirrored for a swap) from there, must restore the entry pair at
+    ratio^2 * d, with no rendezvous in either.  The mirror needs no check of
+    its own: every legality rule treats the two robots alike.  Any ratio > 0
     then witnesses a fair execution that never meets: the block repeats at
     the distances ratio^n * d > 0.  A ratio above 1 is no exception:
 
@@ -324,19 +310,16 @@ def validate_certificate(cert: ScalingLoopCertificate) -> None:
     d0 = cert.entry_distance
     # first traversal from the entry configuration
     schedule = cert.block_schedule()
-    _check_block(cert, schedule)
-    end1 = _replay_block(cert, schedule, (c_r, c_s), d0)
+    end1 = _replay_block(cert, schedule, (c_r, c_s), d0, check=True)
     want1 = (c_s, c_r) if cert.swap else (c_r, c_s)
     if end1.pair != want1 or end1.d != cert.ratio * d0:
         raise CertificateError(
             f"first replay gave {end1.pair} at {end1.d}, expected {want1} at {cert.ratio * d0}"
         )
-    # second traversal closes the loop: mirrored block for a swap recurrence;
-    # the unmirrored block is the one checked above
+    # second traversal closes the loop: mirrored block for a swap recurrence
     if cert.swap:
         schedule = mirror(schedule)
-        _check_block(cert, schedule)
-    end2 = _replay_block(cert, schedule, end1.pair, end1.d)
+    end2 = _replay_block(cert, schedule, end1.pair, end1.d, check=False)
     if end2.pair != (c_r, c_s):
         raise CertificateError("second replay does not restore the entry pair")
     if end2.d != cert.ratio * end1.d:
@@ -350,11 +333,10 @@ def validate_certificate(cert: ScalingLoopCertificate) -> None:
 
 
 def check_rendezvous(trace: Trace) -> Verdict:
-    """Rendezvous at the first distance-zero cycle start time, else
-    inconclusive."""
-    for t in trace.cs_times():
-        if trace.distance_at(t) == 0:
-            return Rendezvous(t)
+    """Rendezvous at the meeting `run` stopped at (`Trace.rendezvous_time`;
+    none with `stop_at_rendezvous=False`), else inconclusive."""
+    if trace.rendezvous_time is not None:
+        return Rendezvous(trace.rendezvous_time)
     return Inconclusive(trace.end_time)
 
 
@@ -469,7 +451,9 @@ def replay_paper_counterexample(name: str, lam=None, distance=1) -> ReplayResult
     """Reconstruct a published counterexample's initial configuration and
     schedule, run it, and return a Diverges verdict with a validated
     scaling-loop certificate."""
-    d = rational(distance)
+    d = start_distance(distance)
+    if d == 0:
+        raise ValueError("initial distance must be positive")
     scheduler = SchedulerClass.asynchronous(lc_atomic=True, move_atomic=True)
     movement = MovementModel.rigid()
 
@@ -625,17 +609,17 @@ def _canonical_key(state: _State, movement: MovementModel | None):
     return (lights, enc(pend[0]), enc(pend[1]), enc(pos1))
 
 
-def _plan(state: _State, g: LightGraph, rounds: bool, i: int) -> tuple[str | None, Fraction | None]:
+def _plan(state: _State, g: LightGraph, i: int) -> tuple[str | None, Fraction | None]:
     """Robot i's half-step, should it act at the next time instant:
     (new light, destination).
 
-    Under FSYNC/SSYNC (`rounds`) and for an idle robot under the LC-atomic
-    asynchronous class it performs LC: the new light is its edge's target and
-    the destination that edge's move, None when it stays put.  A robot with a
-    pending destination performs its M: the light is None and the
-    destination the pending one."""
+    An idle robot performs LC: the new light is its edge's target and the
+    destination that edge's move, None when it stays put.  A robot with a
+    pending destination, which only the LC-atomic asynchronous class leaves
+    between steps, performs its M: the light is None and the destination the
+    pending one."""
     lights, pendings, positions = state
-    if rounds or pendings[i] is None:
+    if pendings[i] is None:
         light, lam = transition(g, lights[1 - i])
         dest = destination(positions[i], positions[1 - i], lam)
         return light, None if dest == positions[i] else dest
@@ -656,7 +640,7 @@ def _step(state: _State, g: LightGraph, cfg: SearchConfig, frac_of: dict, plans=
     lights, pendings, positions = state
     rounds = cfg.scheduler.kind in (FSYNC, SSYNC)
     if plans is None:
-        plans = [_plan(state, g, rounds, i) if i in frac_of else None for i in ROBOTS]
+        plans = [_plan(state, g, i) if i in frac_of else None for i in ROBOTS]
     new_lights = list(lights)
     new_pend = list(pendings)
     new_pos = list(positions)
@@ -708,7 +692,7 @@ def _search_children(state: _State, g: LightGraph, cfg: SearchConfig):
     positions = state[2]
     rounds = cfg.scheduler.kind in (FSYNC, SSYNC)
     movement = cfg.movement
-    plans = [_plan(state, g, rounds, i) for i in ROBOTS]
+    plans = [_plan(state, g, i) for i in ROBOTS]
     choices = [(_FULL,), (_FULL,)]
     if movement.kind != RIGID:
         for i, (light, dest) in enumerate(plans):
@@ -793,50 +777,45 @@ class SearchGraph:
 
     # -- strongly connected components over non-rendezvous nodes ------------
 
-    def _sccs(self) -> list[list]:
+    def _sccs(self):
+        """Yield the strongly connected components in Tarjan's order."""
         index: dict = {}
         low: dict = {}
         on_stack: set = set()
         stack: list = []
-        sccs: list[list] = []
-        counter = [0]
+        work: list = []
+
+        def visit(v):
+            index[v] = low[v] = len(index)
+            stack.append(v)
+            on_stack.add(v)
+            work.append((v, iter(self._succ(v))))
+
         for start in self.nodes:
             if start in index or self.nodes[start].rendezvous:
                 continue
-            work = [(start, iter(self._succ(start)))]
-            index[start] = low[start] = counter[0]
-            counter[0] += 1
-            stack.append(start)
-            on_stack.add(start)
+            visit(start)
             while work:
                 v, it = work[-1]
-                advanced = False
                 for w in it:
                     if w not in index:
-                        index[w] = low[w] = counter[0]
-                        counter[0] += 1
-                        stack.append(w)
-                        on_stack.add(w)
-                        work.append((w, iter(self._succ(w))))
-                        advanced = True
+                        visit(w)
                         break
                     if w in on_stack:
                         low[v] = min(low[v], index[w])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    sccs.append(comp)
-        return sccs
+                else:
+                    work.pop()
+                    if work:
+                        low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                    if low[v] == index[v]:
+                        comp = []
+                        while True:
+                            w = stack.pop()
+                            on_stack.discard(w)
+                            comp.append(w)
+                            if w == v:
+                                break
+                        yield comp
 
     def _succ(self, key):
         return [c for _slots, _comp, c in self.nodes[key].edges if not self.nodes[c].rendezvous]
@@ -846,10 +825,6 @@ class SearchGraph:
         edges include a cycle completion for each robot, if one exists."""
         for comp in self._sccs():
             members = set(comp)
-            if len(comp) == 1:
-                k = comp[0]
-                if not any(c == k for _s, _cmp, c in self.nodes[k].edges):
-                    continue
             seen: set[int] = set()
             for k in comp:
                 for _slots, completions, child in self.nodes[k].edges:
@@ -980,9 +955,7 @@ def _search_core(g: LightGraph, cfg: SearchConfig, colors: tuple[str, str], dist
     graph it reaches (`_MEMO`).  A shared certificate is rebuilt with the
     caller's graph and colors and validated again; a rejection there is a
     fault of the sharing and propagates as CertificateError."""
-    d = rational(distance)
-    if d < 0:
-        raise ValueError("initial distance must be non-negative")
+    d = start_distance(distance)
     check_lights(g, colors)
     number = _numbering(g, colors)
     key = _class_key(g, cfg, colors, d, number)
@@ -1051,7 +1024,7 @@ def reachable_cs_color_pairs(
     the bounded adversary tree from the given same-color starts."""
     pairs: set[frozenset] = set()
     for c in starts:
-        initial: _State = ((c, c), (None, None), (Fraction(0), rational(distance)))
+        initial: _State = ((c, c), (None, None), (Fraction(0), start_distance(distance)))
         graph = SearchGraph(g, cfg, initial)
         for node in graph.nodes.values():
             lights, pendings, _positions = node.rep

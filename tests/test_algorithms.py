@@ -133,6 +133,13 @@ def test_enumerate_matches_the_build_reference(monkeypatch, k, labels):
     assert validated == got and len({id(g.edges) for g in got}) == len(got)
 
 
+@pytest.mark.parametrize("labels", [(0, 0), ("1/2", F(1, 2), 1), (F(1), "2/2")])
+def test_enumerate_rejects_a_label_given_twice(labels):
+    for make in (lambda: list(enumerate_graphs(1, labels)), lambda: count_graphs(1, labels)):
+        with pytest.raises(ValueError, match="given twice"):
+            make()
+
+
 def test_enumerate_deterministic_order():
     first, second = list(enumerate_graphs(2, LABELS))[:2]
     assert edges_of(first) == {"A": ("A", F(0)), "B": ("A", F(0))}

@@ -315,6 +315,92 @@ def test_replay_validate_rejects_illegal_block(tmp_path, capsys):
     assert err.startswith("error:") and "MB" in err
 
 
+# split Look and Compute: robot 1 halves the distance twice, then robot 0
+# takes a Look whose Compute would change its color from A to C
+LOOK_LAST = [
+    {"t": 1, "ops": ["-", "LOOK"]}, {"t": 2, "ops": ["-", "COMP"]}, {"t": 3, "ops": ["-", "M"]},
+    {"t": 4, "ops": ["-", "LC"]}, {"t": 5, "ops": ["-", "M"]}, {"t": 6, "ops": ["LOOK", "-"]},
+]
+
+
+def test_a_block_that_stops_after_a_look_is_no_divergence(tmp_path, capsys):
+    sched_file = tmp_path / "look_last.json"
+    sched_file.write_text(json.dumps({"prefix": LOOK_LAST}))
+    code, _out, err = run_cli(
+        capsys, "run", "--alg", "ss5", "--class", "async,lc-atomic", "--init", "A,B",
+        "--schedule", str(sched_file),
+    )
+    assert (code, err) == (3, "")
+    # its certificate, were the end of the Look a cycle start
+    cert = {
+        "algorithm": builtin("ss5").to_json_dict(),
+        "scheduler": {"kind": "async", "lc_atomic": True, "move_atomic": False},
+        "movement": {"kind": "rigid"},
+        "entry": {"colors": ["A", "B"], "distance": "1/1"},
+        "block": {"prefix": LOOK_LAST},
+        "ratio": "1/4",
+        "swap": False,
+    }
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(cert))
+    code, out, err = run_cli(capsys, "replay", "--validate", str(cert_file))
+    assert (code, out, err) == (1, "", "error: block does not end at a clean cycle start\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--alg", "ss3", "--init", "A,A", "--dist", "1/0"),
+        ("verify", "--alg", "ss3", "--init", "A,A", "--nonrigid", "--delta", "1/0"),
+        ("verify", "--alg", "alg1", "--init", "A,A", "--lambda", "1/0"),
+        ("run", "--alg", "ss3", "--schedule", "sim", "--init", "A,A", "--dist", "1/0"),
+        ("replay", "--validate", "{cert}"),
+    ],
+)
+def test_a_zero_denominator_is_a_usage_error(tmp_path, capsys, argv):
+    cert_file = tmp_path / "cert.json"
+    run_cli(capsys, "replay", "lemma6_alg_a", "--out", str(cert_file))
+    data = json.loads(cert_file.read_text())
+    data["ratio"] = "1/0"
+    cert_file.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, *(a.format(cert=cert_file) for a in argv))
+    assert (code, out, err) == (1, "", "error: zero denominator in '1/0'\n")
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ("1/2,,1", "not a rational p/q: ''"),
+        ("", "not a rational p/q: ''"),
+        ("0,0", "label 0/1 given twice"),
+        ("1/2,2/4", "label 1/2 given twice"),
+    ],
+)
+def test_enumerate_rejects_bad_labels(capsys, labels, message):
+    code, out, err = run_cli(capsys, "enumerate", "--colors", "1", "--labels", labels)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "dist, message",
+    [("0", "initial distance must be positive"), ("-1", "initial distance must be non-negative")],
+)
+def test_replay_needs_a_positive_distance(capsys, dist, message):
+    code, out, err = run_cli(capsys, "replay", "lemma9_1", "--dist", dist)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_run_cuts_a_schedule_file_at_the_horizon(tmp_path, capsys):
+    sched_file = tmp_path / "alt.json"
+    sched_file.write_text(replay_paper_counterexample("lemma6_alg_a").schedule.to_json())
+    code, out, _err = run_cli(
+        capsys, "run", "--alg", "alg_a", "--schedule", str(sched_file), "--init", "B,C",
+        "--class", "lc-atomic,move-atomic", "--horizon", "5",
+    )
+    assert code == 3
+    assert [json.loads(line)["t"] for line in out.splitlines()] == [1, 2, 3, 4, 5]
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"horizon": 8, "scheduler_class": "ssync"}))

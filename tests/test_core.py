@@ -13,6 +13,7 @@ from lumirend.core import (
     destination,
     format_rational,
     rational,
+    start_distance,
     transition,
     truncate_move,
     validate_graph,
@@ -35,6 +36,31 @@ def test_rational_parsing():
         rational("0.5")
     with pytest.raises(ValueError):
         rational("1e-3")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1/0", "zero denominator in '1/0'"),
+        ("", "not a rational p/q: ''"),
+        ("a/b", "not a rational p/q: 'a/b'"),
+        ("1/", "not a rational p/q: '1/'"),
+        ("/2", "not a rational p/q: '/2'"),
+    ],
+)
+def test_rational_names_the_text_it_cannot_read(text, message):
+    with pytest.raises(ValueError) as err:
+        rational(text)
+    assert str(err.value) == message
+
+
+def test_start_distance_is_exact_and_non_negative():
+    assert start_distance("1/2") == start_distance(F(1, 2)) == F(1, 2)
+    assert start_distance(0) == 0
+    with pytest.raises(ValueError, match="initial distance must be non-negative"):
+        start_distance("-1/2")
+    with pytest.raises(TypeError):
+        start_distance(0.1)  # a float is not exact
 
 
 def test_validate_graph_ok():

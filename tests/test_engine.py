@@ -16,6 +16,7 @@ from lumirend.schedules import (
     random_lc_atomic_schedule,
     sim,
 )
+from lumirend.verify import Inconclusive, Rendezvous, check_rendezvous
 
 F = Fraction
 
@@ -339,7 +340,8 @@ def _reference_is_cs(trace, t):
     """Cycle starts by the definition in `Trace.cs_times`, read from the steps:
     for each robot, the operations from t on of the cycle it is in at t (the
     one whose Look came last before t) must neither change its color nor move
-    it, and a cycle still open when the trace ends must not be bound to move."""
+    it, and a cycle still open when the trace ends must not be bound to move,
+    nor owe a Compute that changes its color."""
     for i in ROBOTS:
         mine = [s for s in trace.steps if s.ops[i] != "-"]
         looks = [s.time for s in mine if s.ops[i] in ("LOOK", "LC")]
@@ -365,7 +367,11 @@ def _reference_is_cs(trace, t):
             return False  # still in flight
         if not moves and not later:
             seen = (trace.light_at(1 - i, look), trace.position_at(1 - i, look))
-            if destination(start, seen[1], transition(trace.graph, seen[0])[1]) != start:
+            light, lam = transition(trace.graph, seen[0])
+            if destination(start, seen[1], lam) != start:
+                return False
+            computed = any(s.ops[i] in ("COMP", "LC") for s in cycle)
+            if not computed and light != trace.light_at(i, trace.end_time):
                 return False
     return True
 
@@ -433,6 +439,47 @@ def test_cycle_starts_match_the_reference():
             seen["declared no-move"] += any(a == "COMP" and b == "LOOK" for a, b in zip(ops, ops[1:]))
             seen["idle move"] += any(start == land for _tb, _te, start, land in tr._robots[i].moves)
             seen["cut move"] += bool(ops) and ops[-1] == "MB" and tr.rendezvous_time is not None
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize(
+    "g, cs",
+    [
+        # robot 0 sees B: ss5 would turn it to C without a move
+        (builtin("ss5"), [0, 1]),
+        # robot 0 sees B: this graph keeps it A and in place
+        (LightGraph.build("AB", {"A": ("B", "1/2"), "B": ("A", 0)}), [0, 1, 2]),
+    ],
+)
+def test_a_trace_ending_on_a_look_ends_mid_cycle_if_its_compute_changes_the_color(g, cs):
+    tr = run(g, prefix([("LOOK", "-")]), ("A", "B"), 1, SchedulerClass.asynchronous(), RIGID)
+    assert not any(r.committed(g, tr.end_time) for r in tr._robots)
+    assert tr.cs_times() == cs
+
+
+def _reference_check_rendezvous(trace):
+    """`check_rendezvous` as it was when it scanned the cycle starts for the
+    first one at distance zero."""
+    for t in trace.cs_times():
+        if trace.distance_at(t) == 0:
+            return Rendezvous(t)
+    return Inconclusive(trace.end_time)
+
+
+def test_the_run_meets_where_the_cycle_start_scan_does():
+    seen = {"met": 0, "owed color": 0}
+    for tr in _cs_traces():
+        if tr.rendezvous_time is None and any(st.distance_after == 0 for st in tr.steps):
+            continue  # a run that went on past a meeting records none
+        got, want = check_rendezvous(tr), _reference_check_rendezvous(tr)
+        seen["met"] += tr.rendezvous_time is not None
+        if got != want:
+            # the one difference: the robots meet while a robot owes a Compute
+            # that changes only its color, so the meeting is no cycle start
+            end = tr.end_time
+            assert got == Rendezvous(end) and not tr.is_cs(end), tr.to_jsonl()
+            assert any(r.mid_cycle(tr.graph, end) and not r.committed(tr.graph, end) for r in tr._robots)
+            seen["owed color"] += 1
     assert all(seen.values()), seen
 
 

@@ -320,7 +320,8 @@ def _mutate(rng, slots):
     return slots
 
 
-def test_check_legal_matches_the_reference():
+def _legality_cases() -> list[Schedule]:
+    """Random and published schedules, each with six random faults in turn."""
     rng = random.Random(0)
     schedules = [alt(horizon=16), sim(horizon=16), mirror(alt(horizon=16))]
     for seed in range(40):
@@ -335,6 +336,11 @@ def test_check_legal_matches_the_reference():
             loop_slots = _mutate(rng, list(s.loop.slots))
             if loop_slots and loop_slots[-1].time <= s.loop.period:
                 schedules.append(Schedule(loop=LoopBlock(s.loop.period, tuple(loop_slots)), horizon=16))
+    return schedules
+
+
+def test_check_legal_matches_the_reference():
+    schedules = _legality_cases()
     round_rules = ("not allowed under", "not adjacent to its LC", "coincides with a move tick", "both robots")
     seen = set()
     for s in schedules:
@@ -345,3 +351,15 @@ def test_check_legal_matches_the_reference():
             seen.update(rule for v in got for rule in round_rules if rule in v.message)
     # every kind of violation occurs, and so does each round-structure rule
     assert {"unknown-op", "atomicity", "cycle-order", "lc-window", "move-window", *round_rules} <= seen
+
+
+def test_legality_is_symmetric_under_mirroring():
+    # every rule treats the two robots alike, so certificate validation
+    # checks a swap recurrence's block and not its mirror
+    illegal = 0
+    for s in _legality_cases():
+        for cls in ALL_CLASSES:
+            legal = not check_legal(s, cls)
+            assert legal == (not check_legal(mirror(s), cls)), (s.to_json(), cls)
+            illegal += not legal
+    assert illegal

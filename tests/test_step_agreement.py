@@ -77,3 +77,15 @@ def test_search_paths_replay_through_engine(cls, movement):
                 assert trace.rendezvous_time == (t if meets else None), rows
                 replayed += 1
     assert replayed > 0
+
+
+@pytest.mark.parametrize("cls", ["fsync", "ssync"])
+def test_round_states_hold_no_pending_destination(cls):
+    # `_plan` picks a robot's LC from `pendings[i] is None` alone, which
+    # under rounds holds because a round step leaves no destination pending
+    for model, fractions in MOVEMENTS.values():
+        cfg = SearchConfig(3, CLASSES[cls], model, fractions)
+        for g in GRAPHS:
+            initial = ((g.colors[0], g.colors[1]), (None, None), (F(0), F(1)))
+            for path in _paths(initial, g, cfg, 3):
+                assert all(pendings == (None, None) for _slots, (_l, pendings, _p) in path)

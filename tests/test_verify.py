@@ -25,7 +25,6 @@ from lumirend.schedules import (
     Schedule,
     Slot,
     block,
-    mirror,
     random_lc_atomic_schedule,
     sim,
     starved_robot,
@@ -289,7 +288,7 @@ def _count_check_legal(monkeypatch) -> list:
     return calls
 
 
-def test_validation_checks_each_distinct_block_once(monkeypatch):
+def test_validation_checks_the_block_once(monkeypatch):
     swapped = replay_paper_counterexample("lemma6_alg_a").verdict.certificate
     plain = replay_paper_counterexample("lemma9_1", F(1, 2)).verdict.certificate
     assert swapped.swap and not plain.swap
@@ -297,9 +296,10 @@ def test_validation_checks_each_distinct_block_once(monkeypatch):
     validate_certificate(plain)
     assert calls == [plain.block_schedule()]
     calls.clear()
-    # the second replay of a swap recurrence runs the mirrored block
+    # the second replay of a swap recurrence runs the mirrored block, which is
+    # legal exactly when the block is (test_legality_is_symmetric_under_mirroring)
     validate_certificate(swapped)
-    assert calls == [swapped.block_schedule(), mirror(swapped.block_schedule())]
+    assert calls == [swapped.block_schedule()]
 
 
 def test_validation_rejects_an_illegal_block_as_the_engine_does():
@@ -447,6 +447,52 @@ def _reference_search(g, cfg, colors, distance):
     if graph.open_frontier():
         return Inconclusive(cfg.horizon, "open branches remain; horizon too small")
     return Rendezvous(cfg.horizon)
+
+
+def _reference_fair_sccs(graph) -> list[frozenset]:
+    """The fair components of a search graph by plain reachability: sets of
+    non-rendezvous states that reach each other, where a one-state set needs
+    a self-loop, and whose internal edges complete a cycle of each robot."""
+    nodes = graph.nodes
+    succ = {
+        k: {c for _s, _c, c in n.edges if not nodes[c].rendezvous}
+        for k, n in nodes.items()
+        if not n.rendezvous
+    }
+    reach = {}
+    for k in succ:
+        seen, todo = {k}, [k]
+        while todo:
+            for c in succ[todo.pop()] - seen:
+                seen.add(c)
+                todo.append(c)
+        reach[k] = seen
+    fair = []
+    for comp in {frozenset(u for u in reach[k] if k in reach[u]) for k in succ}:
+        (first, *_rest) = comp
+        if len(comp) == 1 and first not in succ[first]:
+            continue
+        done = set().union(*(cmp for k in comp for _s, cmp, c in nodes[k].edges if c in comp))
+        if done == {0, 1}:
+            fair.append(comp)
+    return fair
+
+
+def test_fair_scc_finds_a_fair_component_of_the_reference():
+    # `fair_scc` states no one-state rule: a one-state component without a
+    # self-loop has no internal edge, so it completes no cycle
+    seen = {"fair": 0, "none fair": 0}
+    graphs = list(enumerate_graphs(2, (F(0), F(1, 2), F(1)))) + [builtin("ss3"), builtin("qss4")]
+    for g in graphs:
+        for scheduler in (SchedulerClass.ssync(), LC):
+            cfg = SearchConfig(4, scheduler, RIGID)
+            for colors in ((a, b) for a in g.colors for b in g.colors):
+                graph = SearchGraph(g, cfg, (colors, (None, None), (F(0), F(1))))
+                want, got = _reference_fair_sccs(graph), graph.fair_scc()
+                assert (got is None) == (not want), (g, cfg, colors)
+                assert got is None or frozenset(got) in want
+                seen["fair" if want else "none fair"] += 1
+    assert all(seen.values()), seen
 
 
 def test_early_stop_agrees_with_the_full_graph():
@@ -668,6 +714,24 @@ def test_search_rejects_a_bad_start(colors, distance, message):
         with pytest.raises(ValueError, match=message):
             search(builtin("ss3"), cfg, colors, distance)
     assert not verify._MEMO
+
+
+def test_run_search_and_replay_read_the_distance_alike():
+    cfg = SearchConfig(horizon=8, scheduler=SchedulerClass.ssync(), movement=RIGID)
+    reads = (
+        lambda d: run(builtin("ss3"), sim(horizon=4), ("A", "A"), d, LCMV, RIGID),
+        lambda d: verify._search_core(builtin("ss3"), cfg, ("A", "A"), d),
+        lambda d: replay_paper_counterexample("lemma9_1", distance=d),
+    )
+    for read in reads:
+        with pytest.raises(TypeError, match="cannot interpret 0.1"):
+            read(0.1)  # a float is not exact
+        with pytest.raises(ValueError, match="initial distance must be non-negative"):
+            read(F(-1))
+        read("1/2")
+    # robots that start together cannot show a divergence
+    with pytest.raises(ValueError, match="initial distance must be positive"):
+        replay_paper_counterexample("lemma9_1", distance=0)
 
 
 def test_canonical_key_keeps_scale_when_a_label_leaves_the_span():
