@@ -20,7 +20,7 @@ from .core import (
     truncate_move,
     validate_graph,
 )
-from .schedules import Schedule, alt, check_fair, check_legal, mirror, sim
+from .schedules import Schedule, alt, check_legal, mirror, sim
 from .engine import ConfigurationView, Simulation, Trace, run
 from .algorithms import builtin, classify_shape, enumerate_graphs
 from .verify import (

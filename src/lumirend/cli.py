@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import sys
@@ -109,7 +108,7 @@ def _schedule(name: str, horizon: int) -> sched.Schedule:
         return sched.alt(horizon)
     if name == "sim":
         return sched.sim(horizon)
-    return dataclasses.replace(sched.Schedule.from_json(Path(name).read_text()), horizon=horizon)
+    return sched.Schedule.from_json_dict(json.loads(Path(name).read_text()), horizon)
 
 
 def _parse_init(text: str) -> tuple[str, str]:

@@ -43,6 +43,14 @@ def rational(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def rational_text(value) -> Fraction:
+    """A rational read from a file: a 'p/q' string only (`rational`), so a
+    JSON number or boolean is an error that names it."""
+    if not isinstance(value, str):
+        raise ValueError(f"not a p/q string: {value!r}")
+    return rational(value)
+
+
 def start_distance(value) -> Fraction:
     """The robots' initial distance: an exact rational (`rational`), not negative."""
     d = rational(value)
@@ -122,7 +130,7 @@ class LightGraph:
     @staticmethod
     def from_json_dict(data: dict) -> "LightGraph":
         edges = {
-            src: (entry["next"], rational(entry["lambda"]))
+            src: (entry["next"], rational_text(entry["lambda"]))
             for src, entry in data["edges"].items()
         }
         return LightGraph.build(data["colors"], edges)
@@ -229,7 +237,7 @@ def movement_to_dict(model: MovementModel) -> dict:
 def movement_from_dict(data: dict) -> MovementModel:
     if data["kind"] == RIGID:
         return MovementModel.rigid()
-    return MovementModel.non_rigid(rational(data["delta"]))
+    return MovementModel.non_rigid(rational_text(data["delta"]))
 
 
 def destination(me: Fraction, other: Fraction, lam: Fraction) -> Fraction:

@@ -430,9 +430,9 @@ def run(
     """Execute a schedule deterministically and return the full trace.
 
     The robots start at positions 0 and `initial_distance` unless explicit
-    positions are given.  The run stops at the end of the schedule (cut at
-    `Schedule.horizon`), or at the first instant at which the robots share a
-    point with no robot committed to a displacing move: the trace's
+    positions are given.  The run executes every slot of the schedule and
+    stops after the last one, or at the first instant at which the robots
+    share a point with no robot committed to a displacing move: the trace's
     `rendezvous_time` (None with `stop_at_rendezvous=False`).
     """
     if check:
@@ -443,7 +443,7 @@ def run(
         positions = (Fraction(0), start_distance(initial_distance))
     simstate = Simulation(g, scheduler, movement, list(initial_colors), positions)
     r0, r1 = simstate.robots
-    slots = list(schedule.unroll())
+    slots = list(schedule.prefix)
     # per robot, the ME time of each split move by its MB time
     ends = [sched.windows(slots, r, OP_MB, OP_ME) for r in ROBOTS]
 

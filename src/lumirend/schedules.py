@@ -1,9 +1,12 @@
 """Timed operation schedules: representation, the named `alt`/`sim` schedules,
-legality under a scheduler class, and fairness over repeating loops.
+legality under a scheduler class, and fairness of a block of slots.
 
 A schedule is data, not callbacks, so that verdicts can embed schedules as
-replayable witnesses.  Times are positive integers; an infinite schedule is a
-finite prefix plus a repeating loop block, unrolled lazily up to a horizon.
+replayable witnesses.  It is the finite tuple of slots a run executes, at
+strictly increasing positive integer times.  A periodic schedule is shown to
+run forever by a scaling-loop certificate (one block and a ratio), not by the
+schedule.  A schedule file may still give a repeating loop block:
+`Schedule.from_json_dict` repeats it up to a horizon as it reads the file.
 """
 
 from __future__ import annotations
@@ -11,9 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
-from .core import FSYNC, SSYNC, SchedulerClass, format_rational, rational
+from .core import FSYNC, SSYNC, SchedulerClass, format_rational, rational_text
 
 OP_LOOK = "LOOK"
 OP_COMP = "COMP"
@@ -45,106 +47,99 @@ class Slot:
 
 
 @dataclass(frozen=True)
-class LoopBlock:
-    """Repeating block; offsets are 1..period relative to the block start."""
-
-    period: int
-    slots: tuple[Slot, ...]  # slot.time holds the offset within the block
-
-
-@dataclass(frozen=True)
 class Schedule:
-    """A finite prefix of slots, then an optional loop repeated to `horizon`."""
+    """The slots a run executes, at strictly increasing times."""
 
     prefix: tuple[Slot, ...] = ()
-    loop: LoopBlock | None = None
-    horizon: int | None = None
 
     def __post_init__(self):
-        last = 0
-        for slot in self.prefix:
-            if slot.time <= last:
-                raise ValueError("prefix times must be strictly increasing")
-            last = slot.time
-        if self.loop is not None:
-            off = 0
-            for slot in self.loop.slots:
-                if slot.time <= off:
-                    raise ValueError("loop offsets must be strictly increasing")
-                off = slot.time
-            if off > self.loop.period:
-                raise ValueError("loop offsets exceed the period")
-            if self.horizon is None:
-                raise ValueError("a horizon is required when a loop is present")
-
-    def unroll(self, horizon: int | None = None) -> Iterator[Slot]:
-        """Yield concrete slots in time order up to the horizon (inclusive)."""
-        limit = horizon if horizon is not None else self.horizon
-        for slot in self.prefix:
-            if limit is not None and slot.time > limit:
-                return
-            yield slot
-        if self.loop is None:
-            return
-        if limit is None:
-            raise ValueError("cannot unroll an infinite schedule without a horizon")
-        base = self.prefix[-1].time if self.prefix else 0
-        while True:
-            for slot in self.loop.slots:
-                t = base + slot.time
-                if t > limit:
-                    return
-                yield Slot(t, slot.ops, slot.fractions)
-            base += self.loop.period
+        _last_time(self.prefix, "prefix times")
 
     def to_json_dict(self) -> dict:
-        def frac(f):
-            return None if f is None else format_rational(f)
-
-        data: dict = {
+        return {
             "prefix": [
-                {"t": s.time, "ops": list(s.ops), "fractions": [frac(f) for f in s.fractions]}
+                {
+                    "t": s.time,
+                    "ops": list(s.ops),
+                    "fractions": [None if f is None else format_rational(f) for f in s.fractions],
+                }
                 for s in self.prefix
             ]
         }
-        if self.loop is not None:
-            data["loop"] = {
-                "period": self.loop.period,
-                "ops": [
-                    {"dt": s.time, "ops": list(s.ops), "fractions": [frac(f) for f in s.fractions]}
-                    for s in self.loop.slots
-                ],
-            }
-        if self.horizon is not None:
-            data["horizon"] = self.horizon
-        return data
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @staticmethod
-    def from_json_dict(data: dict) -> "Schedule":
-        def frac(v):
-            return None if v is None else rational(v)
-
-        prefix = tuple(
-            Slot(e["t"], tuple(e["ops"]), tuple(frac(f) for f in e.get("fractions", [None, None])))
-            for e in data.get("prefix", [])
-        )
-        loop = None
+    def from_json_dict(data: dict, horizon: int | None = None) -> "Schedule":
+        """Read a schedule file: its `"prefix"` slots, then its `"loop"` block
+        (slots at offsets `"dt"` in 1..`"period"`) repeated after the prefix,
+        all cut at `horizon`, or at the file's own `"horizon"` if none is given."""
+        _object(data, "a schedule")
+        if horizon is None:
+            horizon = data.get("horizon")
+        if horizon is not None:
+            _integer(horizon, "horizon")
+        slots = [_read_slot(e, "t") for e in data.get("prefix", [])]
+        base = _last_time(slots, "prefix times")
         if data.get("loop"):
-            loop = LoopBlock(
-                data["loop"]["period"],
-                tuple(
-                    Slot(e["dt"], tuple(e["ops"]), tuple(frac(f) for f in e.get("fractions", [None, None])))
-                    for e in data["loop"]["ops"]
-                ),
-            )
-        return Schedule(prefix, loop, data.get("horizon"))
+            period = _integer(_object(data["loop"], "a loop")["period"], "period")
+            if period < 1:
+                raise ValueError("the loop period must be at least 1")
+            loop = [_read_slot(e, "dt") for e in data["loop"]["ops"]]
+            if _last_time(loop, "loop offsets") > period:
+                raise ValueError("loop offsets exceed the period")
+            if horizon is None:
+                raise ValueError("a horizon is required when a loop is present")
+            # each pass adds at least one time unit, so this ends
+            while loop and base < horizon:
+                slots.extend(Slot(base + s.time, s.ops, s.fractions) for s in loop)
+                base += period
+        if horizon is not None:
+            slots = [s for s in slots if s.time <= horizon]
+        return Schedule(tuple(slots))
 
     @staticmethod
     def from_json(text: str) -> "Schedule":
         return Schedule.from_json_dict(json.loads(text))
+
+
+def _last_time(slots, what: str) -> int:
+    """The last time of `slots`, 0 if none; their times must strictly
+    increase from 1."""
+    last = 0
+    for slot in slots:
+        if slot.time <= last:
+            raise ValueError(f"{what} must be strictly increasing")
+        last = slot.time
+    return last
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not {value!r}")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _read_slot(entry: dict, key: str) -> Slot:
+    """One slot of a schedule file, timed by its `key` ("t" or "dt")."""
+    ops = _object(entry, "a slot")["ops"]
+    fractions = entry.get("fractions", [None, None])
+    if not (isinstance(ops, list) and len(ops) == 2 and all(isinstance(op, str) for op in ops)):
+        raise ValueError(f"ops must be two op names, not {ops!r}")
+    if not (isinstance(fractions, list) and len(fractions) == 2):
+        raise ValueError(f"fractions must be two entries, not {fractions!r}")
+    return Slot(
+        _integer(entry[key], key),
+        tuple(ops),
+        tuple(None if f is None else rational_text(f) for f in fractions),
+    )
 
 
 def block(op_rows: list[tuple], fractions: list[tuple] | None = None) -> tuple[Slot, ...]:
@@ -156,36 +151,26 @@ def block(op_rows: list[tuple], fractions: list[tuple] | None = None) -> tuple[S
     return tuple(slots)
 
 
-def loop_schedule(op_rows: list[tuple], horizon: int) -> Schedule:
-    """A pure loop schedule over consecutive integer times."""
-    return Schedule(loop=LoopBlock(len(op_rows), block(op_rows)), horizon=horizon)
-
-
 # the rows of the published alternate and simultaneous schedules
 ALT_ROWS = ((OP_LC, OP_NONE), (OP_NONE, OP_LC), (OP_M, OP_NONE), (OP_NONE, OP_M))
 SIM_ROWS = ((OP_LC, OP_LC), (OP_M, OP_M))
 
 
 def alt(horizon: int = 64) -> Schedule:
-    """Alternate schedule: ([LC,-],[-,LC],[M,-],[-,M]) repeating."""
-    return loop_schedule(ALT_ROWS, horizon)
+    """Alternate schedule: ([LC,-],[-,LC],[M,-],[-,M]) repeating to `horizon`."""
+    return Schedule(block((ALT_ROWS * horizon)[:horizon]))
 
 
 def sim(horizon: int = 64) -> Schedule:
-    """Simultaneous schedule: ([LC,LC],[M,M]) repeating."""
-    return loop_schedule(SIM_ROWS, horizon)
+    """Simultaneous schedule: ([LC,LC],[M,M]) repeating to `horizon`."""
+    return Schedule(block((SIM_ROWS * horizon)[:horizon]))
 
 
 def mirror(s: Schedule) -> Schedule:
     """Exchange the two robots' roles (swap op and fraction columns)."""
-
-    def flip(slots):
-        return tuple(
-            Slot(x.time, (x.ops[1], x.ops[0]), (x.fractions[1], x.fractions[0])) for x in slots
-        )
-
-    loop = LoopBlock(s.loop.period, flip(s.loop.slots)) if s.loop else None
-    return Schedule(flip(s.prefix), loop, s.horizon)
+    return Schedule(
+        tuple(Slot(x.time, (x.ops[1], x.ops[0]), (x.fractions[1], x.fractions[0])) for x in s.prefix)
+    )
 
 
 @dataclass(frozen=True)
@@ -281,28 +266,17 @@ def _check_rounds(ops: tuple[list, list], cls: SchedulerClass) -> list[Violation
     return problems
 
 
-# Loops are checked over this many unrolled periods, which covers every window
-# shape a longer unrolling can produce.
-_CHECK_PERIODS = 3
-
-
 def check_legal(s: Schedule, cls: SchedulerClass) -> list[Violation]:
     """Structural legality of a schedule under a scheduler class.
 
     Returns the list of violations (empty means legal): per-robot cycle order,
     atomic-op permissions, no foreign Look strictly inside a
     Look..Comp window (LC-atomic) or an MB..ME window (Move-atomic), and round
-    structure for FSYNC/SSYNC.  Loops are checked over `_CHECK_PERIODS`
-    unrolled periods.
+    structure for FSYNC/SSYNC.
     """
-    if s.loop is not None:
-        limit = (s.prefix[-1].time if s.prefix else 0) + _CHECK_PERIODS * s.loop.period
-    else:
-        limit = s.prefix[-1].time if s.prefix else 0
     problems: list[Violation] = []
     ops: tuple[list, list] = ([], [])  # per robot: (time, op), ops other than '-'
-    slots = list(s.unroll(horizon=limit))
-    for slot in slots:
+    for slot in s.prefix:
         t = slot.time
         for robot in ROBOTS:
             op = slot.ops[robot]
@@ -329,7 +303,7 @@ def check_legal(s: Schedule, cls: SchedulerClass) -> list[Violation]:
         atomic.append(("move-window", OP_MB, OP_ME, "move window"))
     for kind, begin_op, end_op, name in atomic:
         for robot in ROBOTS:
-            for a, b in windows(slots, robot, begin_op, end_op).items():
+            for a, b in windows(s.prefix, robot, begin_op, end_op).items():
                 for t in look_times[1 - robot]:
                     if a < t < b:
                         problems.append(
@@ -386,11 +360,3 @@ def starved_robot(slots) -> int | None:
         if not any(slot.ops[robot] in LOOK_OPS for slot in slots):
             return robot
     return None
-
-
-def check_fair(s: Schedule) -> int | None:
-    """Fairness over the repeating loop: each robot must get at least one
-    complete cycle per period.  Returns the starved robot, or None if fair."""
-    if s.loop is None:
-        raise ValueError("fairness is a property of infinite schedules; no loop present")
-    return starved_robot(s.loop.slots)

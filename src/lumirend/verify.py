@@ -66,6 +66,7 @@ from .core import (
     movement_from_dict,
     movement_to_dict,
     rational,
+    rational_text,
     scheduler_from_dict,
     scheduler_to_dict,
     start_distance,
@@ -83,7 +84,6 @@ from .schedules import (
     OP_NONE,
     ROBOTS,
     SIM_ROWS,
-    LoopBlock,
     Schedule,
     Slot,
     block,
@@ -206,9 +206,9 @@ class ScalingLoopCertificate:
             scheduler=scheduler_from_dict(data["scheduler"]),
             movement=movement_from_dict(data["movement"]),
             entry_colors=tuple(data["entry"]["colors"]),
-            entry_distance=rational(data["entry"]["distance"]),
+            entry_distance=rational_text(data["entry"]["distance"]),
             schedule_block=Schedule.from_json_dict(data["block"]).prefix,
-            ratio=rational(data["ratio"]),
+            ratio=rational_text(data["ratio"]),
             swap=data["swap"],
         )
 
@@ -488,9 +488,8 @@ def replay_paper_counterexample(name: str, lam=None, distance=1) -> ReplayResult
     else:
         raise KeyError(f"unknown counterexample {name!r}")
 
-    period = len(rows)
-    horizon = 2 * period
-    schedule = Schedule(loop=LoopBlock(period, block(rows)), horizon=horizon)
+    # the block twice, so that its cycle start recurs
+    schedule = Schedule(block(rows * 2))
     trace = run(g, schedule, init, d, scheduler, movement)
     cert = detect_scaling_loop(trace)
     if cert is None:
@@ -504,6 +503,10 @@ def replay_paper_counterexample(name: str, lam=None, distance=1) -> ReplayResult
 # a search stops exploring, capped, once its graph holds more states than this
 MAX_STATES = 200_000
 
+# the adversary's move fractions for a non-rigid move longer than delta: a cut
+# to delta, or the full move
+FRACTION_CHOICES = (Fraction(0), Fraction(1))
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -512,22 +515,12 @@ class SearchConfig:
     horizon: int
     scheduler: SchedulerClass
     movement: MovementModel
-    fraction_choices: tuple[Fraction, ...] = (Fraction(0), Fraction(1))
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if self.scheduler.kind == ASYNC and not self.scheduler.lc_atomic:
             raise ValueError("the game search explores the LC-atomic fragment only")
-        # with no choice a long non-rigid move would vanish from the game
-        if not self.fraction_choices:
-            raise ValueError("fraction_choices must hold at least one fraction")
-        for frac in self.fraction_choices:
-            # states are keyed by exact integer arithmetic on the positions
-            if not isinstance(frac, (int, Fraction)):
-                raise ValueError(f"fraction choice {frac!r} is not an int or a Fraction")
-            if not 0 <= frac <= 1:
-                raise ValueError(f"fraction choice {frac} outside [0, 1]")
 
 
 # an abstract search state: visible lights, per-robot pending destination
@@ -699,7 +692,7 @@ def _search_children(state: _State, g: LightGraph, cfg: SearchConfig):
             # an asynchronous LC only sets the pending destination
             moves = dest is not None and (rounds or light is None)
             if moves and abs(dest - positions[i]) > movement.delta:
-                choices[i] = cfg.fraction_choices
+                choices[i] = FRACTION_CHOICES
     actor_sets = ((0, 1),) if cfg.scheduler.kind == FSYNC else ((0,), (1,), (0, 1))
     for actors in actor_sets:
         for fracs in product(*(choices[i] for i in actors)):
@@ -1005,13 +998,7 @@ def search_one(g: LightGraph, cfg: SearchConfig, colors: tuple[str, str], distan
     pre-pass proves nothing and falls through to the full search.
     """
     if cfg.scheduler.kind == ASYNC:
-        pre_cfg = SearchConfig(
-            cfg.horizon,
-            SchedulerClass.ssync(),
-            cfg.movement,
-            cfg.fraction_choices,
-        )
-        pre = _search_core(g, pre_cfg, colors, distance)
+        pre = _search_core(g, SearchConfig(cfg.horizon, SchedulerClass.ssync(), cfg.movement), colors, distance)
         if isinstance(pre, Diverges):
             return pre
     return _search_core(g, cfg, colors, distance)

@@ -189,7 +189,7 @@ def test_criterion_04_positive_three_color_negative_starts():
 
 def test_criterion_05_four_color_certification():
     g = builtin("qss4")
-    cfg = SearchConfig(horizon=60, scheduler=LC, movement=NR4, fraction_choices=(F(0), F(1)))
+    cfg = SearchConfig(horizon=60, scheduler=LC, movement=NR4)
     for c in "ABCD":
         assert isinstance(search_one(g, cfg, (c, c), 1), Rendezvous)
 
@@ -220,7 +220,7 @@ def test_criterion_05_four_color_certification():
 
 def test_criterion_06_five_color_certification():
     g = builtin("ss5")
-    cfg = SearchConfig(horizon=80, scheduler=LC, movement=NR4, fraction_choices=(F(0), F(1)))
+    cfg = SearchConfig(horizon=80, scheduler=LC, movement=NR4)
     for a in "ABCDE":
         for b in "ABCDE":
             assert isinstance(search_one(g, cfg, (a, b), 1), Rendezvous), (a, b)

@@ -12,7 +12,7 @@ import pytest
 
 from lumirend.algorithms import builtin
 from lumirend.cli import main
-from lumirend.schedules import random_lc_atomic_schedule
+from lumirend.schedules import Schedule, random_lc_atomic_schedule
 from lumirend.verify import ScalingLoopCertificate, replay_paper_counterexample, validate_certificate
 
 
@@ -399,6 +399,103 @@ def test_run_cuts_a_schedule_file_at_the_horizon(tmp_path, capsys):
     )
     assert code == 3
     assert [json.loads(line)["t"] for line in out.splitlines()] == [1, 2, 3, 4, 5]
+
+
+SIM_LOOP = {"period": 2, "ops": [{"dt": 1, "ops": ["LC", "LC"]}, {"dt": 2, "ops": ["M", "M"]}]}
+
+
+@pytest.mark.parametrize("own_horizon", [{}, {"horizon": 2}, {"horizon": 20}])
+def test_run_repeats_a_loop_file_to_the_horizon(tmp_path, capsys, own_horizon):
+    # --horizon cuts the loop, with or without a horizon in the file
+    loop_file, prefix_file = tmp_path / "loop.json", tmp_path / "prefix.json"
+    loop_file.write_text(json.dumps({"loop": SIM_LOOP, **own_horizon}))
+    rows = [{"t": t, "ops": ["LC", "LC"] if t % 2 else ["M", "M"]} for t in range(1, 9)]
+    prefix_file.write_text(json.dumps({"prefix": rows}))
+    argv = ("run", "--alg", "ss3", "--init", "B,A", "--class", "ssync", "--horizon", "8", "--schedule")
+    looped = run_cli(capsys, *argv, str(loop_file))
+    assert looped == run_cli(capsys, *argv, str(prefix_file))
+    assert looped[0] == 0 and len(looped[1].splitlines()) > 2
+
+
+def test_an_empty_loop_block_repeats_nothing(tmp_path):
+    # each pass of the reader's loop adds at least one time unit, so it ends
+    sched_file = tmp_path / "empty.json"
+    sched_file.write_text(json.dumps({"loop": {"period": 4, "ops": []}, "horizon": 8}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lumirend", "run", "--alg", "ss3", "--init", "A,A", "--class", "ssync",
+         "--schedule", str(sched_file)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "")
+
+
+def _cert_with(path, change):
+    main(["replay", "lemma6_alg_a", "--out", str(path)])
+    data = json.loads(path.read_text())
+    change(data)
+    path.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "kind, content, message",
+    [
+        ("schedule", {"prefix": [{"t": 1, "ops": ["LC"]}]}, "ops must be two op names, not ['LC']"),
+        ("schedule", {"prefix": [{"t": "1", "ops": ["LC", "-"]}]}, "t must be an integer, not '1'"),
+        ("schedule", {"prefix": [{"t": True, "ops": ["LC", "-"]}]}, "t must be an integer, not True"),
+        ("schedule", {"prefix": [{"t": 1, "ops": ["LC", "-"], "fractions": [None]}]},
+         "fractions must be two entries, not [None]"),
+        ("schedule", {"prefix": [{"t": 1, "ops": ["LC", "-"], "fractions": [0.5, None]}]},
+         "not a p/q string: 0.5"),
+        ("schedule", {"loop": {"period": 0, "ops": []}, "horizon": 8}, "the loop period must be at least 1"),
+        ("schedule", {"loop": {"period": 2, "ops": [{"dt": 1.5, "ops": ["LC", "LC"]}]}},
+         "dt must be an integer, not 1.5"),
+        ("schedule", {"loop": {"period": 1, "ops": [{"dt": 1, "ops": ["LC", "LC"]}, {"dt": 1, "ops": ["M", "M"]}]}},
+         "loop offsets must be strictly increasing"),
+        ("schedule", {"loop": {"period": 1, "ops": [{"dt": 2, "ops": ["LC", "LC"]}]}},
+         "loop offsets exceed the period"),
+        ("schedule", [], "a schedule must be a JSON object, not []"),
+        ("schedule", {"prefix": [1]}, "a slot must be a JSON object, not 1"),
+        ("schedule", {"loop": [1], "horizon": 4}, "a loop must be a JSON object, not [1]"),
+        ("certificate", lambda c: c.update(ratio=0.25), "not a p/q string: 0.25"),
+        ("certificate", lambda c: c["entry"].update(distance=1), "not a p/q string: 1"),
+        ("graph", 0.5, "not a p/q string: 0.5"),
+        ("graph", True, "not a p/q string: True"),
+    ],
+)
+def test_malformed_files_are_usage_errors(tmp_path, capsys, kind, content, message):
+    path = tmp_path / f"{kind}.json"
+    if kind == "schedule":
+        path.write_text(json.dumps(content))
+        argv = ("run", "--alg", "ss3", "--init", "A,A", "--class", "ssync", "--schedule", str(path))
+    elif kind == "certificate":
+        _cert_with(path, content)
+        capsys.readouterr()
+        argv = ("replay", "--validate", str(path))
+    else:
+        graph = builtin("ss3").to_json_dict()
+        graph["edges"]["A"]["lambda"] = content
+        path.write_text(json.dumps(graph))
+        argv = ("verify", "--alg", str(path), "--class", "ssync", "--init", "A,A", "--horizon", "8")
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_legality_is_checked_over_the_slots_that_run(capsys):
+    # alt's M rows are not adjacent to their LC, so SSYNC rejects alt from t=3
+    argv = ("run", "--alg", "ss3", "--schedule", "alt", "--init", "A,A", "--class", "ssync", "--horizon")
+    code, out, err = run_cli(capsys, *argv, "2")
+    assert (code, len(out.splitlines()), err) == (3, 2, "")
+    code, out, err = run_cli(capsys, *argv, "64")
+    reported = [int(t) for t in re.findall(r"M at t=(\d+) is not adjacent", err)]
+    assert (code, out) == (1, "")
+    assert sorted(reported) == [t for t in range(3, 65) if t % 4 in (0, 3)]
+
+
+def test_a_loop_file_needs_a_horizon_from_somewhere():
+    # `run` always passes its --horizon; a library read of the file has none
+    with pytest.raises(ValueError, match="a horizon is required when a loop is present"):
+        Schedule.from_json_dict({"loop": SIM_LOOP})
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

@@ -7,6 +7,7 @@ from lumirend.core import SchedulerClass
 from lumirend.schedules import (
     _NEXT_PHASE,
     ALL_OPS,
+    ALT_ROWS,
     LOOK_OPS,
     OP_COMP,
     OP_LC,
@@ -16,34 +17,34 @@ from lumirend.schedules import (
     OP_ME,
     OP_NONE,
     ROBOTS,
-    LoopBlock,
+    SIM_ROWS,
     Schedule,
     Slot,
     Violation,
     alt,
     block,
-    check_fair,
     check_legal,
     mirror,
     random_lc_atomic_schedule,
     sim,
+    starved_robot,
 )
 
 
 def test_alt_structure():
-    slots = list(alt(horizon=4).unroll())
+    slots = alt(horizon=4).prefix
     assert [s.ops for s in slots] == [("LC", "-"), ("-", "LC"), ("M", "-"), ("-", "M")]
 
 
 def test_alt_unrolls_twice():
-    slots = list(alt(horizon=8).unroll())
+    slots = alt(horizon=8).prefix
     assert len(slots) == 8
     assert [s.time for s in slots] == list(range(1, 9))
     assert slots[4].ops == ("LC", "-")
 
 
 def test_sim_structure():
-    slots = list(sim(horizon=2).unroll())
+    slots = sim(horizon=2).prefix
     assert slots[0].ops == ("LC", "LC")
     assert slots[1].ops == ("M", "M")
 
@@ -109,22 +110,19 @@ def test_cycle_order_violation():
 
 
 def test_fairness():
-    assert check_fair(alt()) is None
-    assert check_fair(sim()) is None
-    from lumirend.schedules import LoopBlock
-
-    starved = Schedule(
-        loop=LoopBlock(2, (Slot(1, (OP_LC, OP_NONE)), Slot(2, (OP_M, OP_NONE)))),
-        horizon=8,
-    )
-    assert check_fair(starved) == 1
-    with pytest.raises(ValueError):
-        check_fair(Schedule(prefix=block([(OP_LC, OP_NONE)])))
+    # one period of each published schedule starts a cycle of both robots
+    assert starved_robot(alt(horizon=4).prefix) is None
+    assert starved_robot(sim(horizon=2).prefix) is None
+    assert starved_robot(block([(OP_LC, OP_NONE), (OP_M, OP_NONE)])) == 1
+    assert starved_robot(block([(OP_NONE, OP_LOOK), (OP_NONE, OP_COMP)])) == 0
+    # a split Look starts a cycle as an LC does; the other ops start none
+    assert starved_robot(block([(OP_LOOK, OP_M), (OP_COMP, OP_MB), (OP_M, OP_ME)])) == 1
+    assert starved_robot(()) == 0
 
 
 def test_mirror_swaps_roles():
     m = mirror(alt(horizon=4))
-    assert [s.ops for s in m.unroll()] == [("-", "LC"), ("LC", "-"), ("-", "M"), ("M", "-")]
+    assert [s.ops for s in m.prefix] == [("-", "LC"), ("LC", "-"), ("-", "M"), ("M", "-")]
 
 
 def test_schedule_json_roundtrip():
@@ -134,6 +132,22 @@ def test_schedule_json_roundtrip():
         prefix=(Slot(1, ("LC", "-"), (None, Fraction(1, 2))), Slot(3, ("M", "-")))
     )
     assert Schedule.from_json(prefix.to_json()) == prefix
+
+
+def test_a_loop_is_repeated_after_the_prefix_when_read():
+    data = {
+        "prefix": [{"t": 2, "ops": ["LC", "-"]}],
+        "loop": {"period": 3, "ops": [{"dt": 1, "ops": ["M", "LC"]}, {"dt": 3, "ops": ["-", "M"]}]},
+        "horizon": 8,
+    }
+    times = [3, 5, 6, 8]
+    assert [s.time for s in Schedule.from_json_dict(data).prefix] == [2, *times]
+    # the caller's horizon takes precedence over the file's
+    assert [s.time for s in Schedule.from_json_dict(data, 5).prefix] == [2, 3, 5]
+    assert [s.time for s in Schedule.from_json_dict(data, 12).prefix] == [2, *times, 9, 11, 12]
+    # a prefix is cut at a horizon too, and the read schedule is written as a prefix
+    read = Schedule.from_json_dict({"prefix": data["prefix"] + [{"t": 9, "ops": ["M", "-"]}], "horizon": 8})
+    assert read.to_json_dict() == {"prefix": [{"t": 2, "ops": ["LC", "-"], "fractions": [None, None]}]}
 
 
 def test_random_schedules_are_legal():
@@ -210,14 +224,10 @@ def _ref_check_rounds(slots, cls):
     return problems
 
 
-def _reference_check_legal(s, cls, periods=3):
+def _reference_check_legal(s, cls):
     """`check_legal` as it was before it read one (time, op) list per robot:
-    every helper rescans the unrolled slots."""
-    if s.loop is not None:
-        limit = (s.prefix[-1].time if s.prefix else 0) + periods * s.loop.period
-    else:
-        limit = s.prefix[-1].time if s.prefix else 0
-    slots = list(s.unroll(horizon=limit))
+    every helper rescans the slots."""
+    slots = s.prefix
     problems = []
     for slot in slots:
         for robot in ROBOTS:
@@ -328,14 +338,17 @@ def _legality_cases() -> list[Schedule]:
         schedules.append(random_lc_atomic_schedule(random.Random(seed), 30))
         schedules.append(Schedule(prefix=tuple(_random_cycles(random.Random(seed), 30))))
     for s in list(schedules):
-        slots = list(s.unroll(horizon=30 if s.loop is None else 3 * s.loop.period))
+        slots = [x for x in s.prefix if x.time <= 30]
         for _ in range(6):
             slots = _mutate(rng, slots)
             schedules.append(Schedule(prefix=tuple(slots)))
-        if s.loop is not None:  # a fault inside a repeating block
-            loop_slots = _mutate(rng, list(s.loop.slots))
-            if loop_slots and loop_slots[-1].time <= s.loop.period:
-                schedules.append(Schedule(loop=LoopBlock(s.loop.period, tuple(loop_slots)), horizon=16))
+    # a fault inside a repeating block, which a schedule file repeats as it is read
+    for rows in (ALT_ROWS, SIM_ROWS, [x.ops for x in mirror(alt(horizon=4)).prefix]):
+        period = len(rows)
+        loop_slots = _mutate(rng, list(block(rows)))
+        if loop_slots and loop_slots[-1].time <= period:
+            loop = {"period": period, "ops": [{"dt": x.time, "ops": list(x.ops)} for x in loop_slots]}
+            schedules.append(Schedule.from_json_dict({"loop": loop, "horizon": 16}))
     return schedules
 
 

@@ -4,12 +4,15 @@ Every path of `_search_children` up to a small depth is replayed through
 `run`: after each search step the engine shows the same lights and
 positions, and it reports rendezvous exactly where the search does.  The
 search builds its certificates by re-walking fair cycles with this step, so
-a disagreement would cost certificates (the engine validates each one)."""
+a disagreement would cost certificates (the engine validates each one).
+Non-rigid paths offer the adversary a third fraction, 1/2, through
+`verify.FRACTION_CHOICES`."""
 
 from fractions import Fraction
 
 import pytest
 
+from lumirend import verify
 from lumirend.algorithms import builtin, enumerate_graphs
 from lumirend.core import MovementModel, SchedulerClass
 from lumirend.engine import run
@@ -56,10 +59,11 @@ def _paths(state, g, cfg, depth):
 
 @pytest.mark.parametrize("movement", sorted(MOVEMENTS))
 @pytest.mark.parametrize("cls", sorted(CLASSES))
-def test_search_paths_replay_through_engine(cls, movement):
+def test_search_paths_replay_through_engine(cls, movement, monkeypatch):
     model, fractions = MOVEMENTS[movement]
+    monkeypatch.setattr(verify, "FRACTION_CHOICES", fractions)
     depth = DEPTH[cls, movement]
-    cfg = SearchConfig(depth, CLASSES[cls], model, fractions)
+    cfg = SearchConfig(depth, CLASSES[cls], model)
     replayed = 0
     for g in GRAPHS:
         for colors in ((g.colors[0], g.colors[0]), (g.colors[0], g.colors[1])):
@@ -80,11 +84,12 @@ def test_search_paths_replay_through_engine(cls, movement):
 
 
 @pytest.mark.parametrize("cls", ["fsync", "ssync"])
-def test_round_states_hold_no_pending_destination(cls):
+def test_round_states_hold_no_pending_destination(cls, monkeypatch):
     # `_plan` picks a robot's LC from `pendings[i] is None` alone, which
     # under rounds holds because a round step leaves no destination pending
     for model, fractions in MOVEMENTS.values():
-        cfg = SearchConfig(3, CLASSES[cls], model, fractions)
+        monkeypatch.setattr(verify, "FRACTION_CHOICES", fractions)
+        cfg = SearchConfig(3, CLASSES[cls], model)
         for g in GRAPHS:
             initial = ((g.colors[0], g.colors[1]), (None, None), (F(0), F(1)))
             for path in _paths(initial, g, cfg, 3):

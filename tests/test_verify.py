@@ -406,7 +406,6 @@ def test_search_fsync_full_moves_halve_from_pivot():
         horizon=16,
         scheduler=SchedulerClass.fsync(),
         movement=RIGID,
-        fraction_choices=(F(1),),
     )
     verdict = search_one(builtin("ss3"), cfg, ("A", "A"), 1)
     assert isinstance(verdict, Rendezvous)
@@ -495,7 +494,7 @@ def test_fair_scc_finds_a_fair_component_of_the_reference():
     assert all(seen.values()), seen
 
 
-def test_early_stop_agrees_with_the_full_graph():
+def test_early_stop_agrees_with_the_full_graph(monkeypatch):
     # a search may stop at a doubling depth only on a validated certificate:
     # every verdict of the full graph stands, except that a fair loop without
     # a clean entry, or with a rejected certificate, may give way to a
@@ -508,12 +507,15 @@ def test_early_stop_agrees_with_the_full_graph():
     # 2 yields no certificate, the one of the complete graph does
     graphs.append(LightGraph.build("AB", {"A": ("B", "-1/2"), "B": ("A", 1)}))
     settings = [
-        SearchConfig(3, scheduler, movement, fractions)
+        (SearchConfig(3, scheduler, movement), fractions)
         for scheduler in (SchedulerClass.ssync(), LC, LCMV)
         for movement, fractions in ((RIGID, (F(0), F(1))), (NR4, halves))
     ]
+    # the verdicts under the extra fraction 1/2 are kept out of the shared memo
+    monkeypatch.setattr(verify, "_MEMO", {})
     for g in graphs:
-        for cfg in settings:
+        for cfg, fractions in settings:
+            monkeypatch.setattr(verify, "FRACTION_CHOICES", fractions)
             for colors in ((a, b) for a in g.colors for b in g.colors):
                 want = _reference_search(g, cfg, colors, 1)
                 got = verify._search_core(g, cfg, colors, 1)
@@ -814,22 +816,12 @@ def test_search_requires_lc_atomicity():
         SearchConfig(horizon=10, scheduler=SchedulerClass.asynchronous(), movement=RIGID)
 
 
-def test_search_config_rejects_fraction_choices_that_drop_or_break_moves():
-    # with no choice every long non-rigid move would drop out of the game, and
-    # both searches below would close as Rendezvous
+def test_long_nonrigid_moves_stay_in_the_game():
+    # were a long non-rigid move given no fraction choice, it would drop out
+    # of the game, and both searches below would close as Rendezvous
     halve = LightGraph.build("A", {"A": ("A", "1/2")})
     for g, scheduler in ((builtin("ss3"), LC), (halve, SchedulerClass.ssync())):
         assert isinstance(search_one(g, SearchConfig(16, scheduler, NR4), ("A", "A"), 1), Diverges)
-        with pytest.raises(ValueError, match="at least one fraction"):
-            SearchConfig(16, scheduler, NR4, fraction_choices=())
-    for bad in (F(-1, 2), F(3, 2)):
-        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
-            SearchConfig(16, LC, NR4, fraction_choices=(F(0), bad))
-    # a float would truncate a long move to an inexact position
-    with pytest.raises(ValueError, match=r"fraction choice 0\.5 is not an int or a Fraction"):
-        SearchConfig(16, LC, NR4, fraction_choices=(0.5, 1.0))
-    assert SearchConfig(16, LC, NR4, fraction_choices=(0, 1)).fraction_choices == (0, 1)
-    assert SearchConfig(16, LC, NR4, fraction_choices=(F(1),)).fraction_choices == (F(1),)
 
 
 def _reference_step(state, g, cfg, frac_of):
@@ -889,12 +881,12 @@ def _reference_search_children(state, g, cfg):
                 else:
                     target = pendings[i]
                 long_move = target is not None and abs(target - positions[i]) > cfg.movement.delta
-            per_actor_fracs.append(tuple(cfg.fraction_choices) if long_move else (F(1),))
+            per_actor_fracs.append(verify.FRACTION_CHOICES if long_move else (F(1),))
         for fracs in product(*per_actor_fracs):
             yield _reference_step(state, g, cfg, dict(zip(actors, fracs)))
 
 
-def test_search_children_match_the_reference():
+def test_search_children_match_the_reference(monkeypatch):
     # random states, pending destinations included under asynchrony; an idle
     # asynchronous robot's LC moves nothing at its instant, so it must get no
     # fraction choices even when the move it computes is long
@@ -914,7 +906,8 @@ def test_search_children_match_the_reference():
     schedulers = [SchedulerClass.fsync(), SchedulerClass.ssync(), LC]
     offered = 0  # choices with a robot's fraction other than a full move
     for scheduler, (movement, fractions) in product(schedulers, movements):
-        cfg = SearchConfig(4, scheduler, movement, fractions)
+        monkeypatch.setattr(verify, "FRACTION_CHOICES", fractions)
+        cfg = SearchConfig(4, scheduler, movement)
         for _ in range(150):
             g = rng.choice(graphs)
             lights = (rng.choice(g.colors), rng.choice(g.colors))
