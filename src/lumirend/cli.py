@@ -35,6 +35,7 @@ from .core import (
     MovementModel,
     SchedulerClass,
     format_rational,
+    json_value,
     rational,
 )
 from .engine import EngineError, run
@@ -122,7 +123,7 @@ def _verdict_dict(v) -> dict:
     if isinstance(v, Rendezvous):
         return {"kind": "rendezvous", "time": v.time}
     if isinstance(v, Diverges):
-        return {"kind": "diverges", "certificate": v.certificate.to_json_dict()}
+        return {"kind": "diverges", "certificate": json.loads(v.certificate.to_json())}
     return {"kind": "inconclusive", "horizon": v.horizon, "reason": v.reason}
 
 
@@ -328,15 +329,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _install_config(parser: argparse.ArgumentParser, command: str, path: str) -> None:
     """Install a config file's values as defaults on `command`'s own parser,
-    as subparsers parse into a fresh namespace; a key that is no flag of it is an error."""
+    as subparsers parse into a fresh namespace; a key that is no flag of it is an error.
+    A switch takes true or false; a valued flag, a string or a number read as its text."""
     config = json.loads(Path(path).read_text())
     if not isinstance(config, dict):
         raise ValueError(f"{path} must hold a JSON object")
     p = parser.commands[command]
-    known = {action.dest for action in p._actions} - {"help"}
-    unknown = sorted(set(config) - known)
+    actions = {action.dest: action for action in p._actions if action.dest != "help"}
+    unknown = sorted(set(config) - set(actions))
     if unknown:
         raise ValueError(f"{path} sets unknown keys: {', '.join(unknown)}")
+    for key, value in config.items():
+        action = actions[key]
+        if action.nargs == 0:
+            json_value(value, bool, f"{path}: {key}")
+        elif isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"{path}: {key} must be a string or a number, not {value!r}")
+        else:
+            try:
+                config[key] = p._get_values(action, [str(value)])
+            except argparse.ArgumentError as exc:
+                raise ValueError(f"{path}: {exc}") from None
     p.set_defaults(**config)
 
 

@@ -51,6 +51,18 @@ def rational_text(value) -> Fraction:
     return rational(value)
 
 
+# how the values a file may hold are named in errors, by Python type
+_JSON_TYPES = {dict: "a JSON object", str: "a string", int: "an integer", bool: "true or false"}
+
+
+def json_value(value, kind: type, what: str):
+    """A value read from a file, which must have the JSON type `kind`
+    (`dict`, `str`, `int` or `bool`); else an error names `what` and the value."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, not {value!r}")
+    return value
+
+
 def start_distance(value) -> Fraction:
     """The robots' initial distance: an exact rational (`rational`), not negative."""
     d = rational(value)
@@ -115,25 +127,22 @@ class LightGraph:
         validate_graph(g)
         return g
 
-    def to_json_dict(self) -> dict:
-        return {
-            "colors": list(self.colors),
-            "edges": {
-                c: {"next": e.target, "lambda": format_rational(e.lam)}
-                for c, e in sorted(self.edges.items())
-            },
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        edges = {c: {"next": e.target, "lambda": format_rational(e.lam)} for c, e in self.edges.items()}
+        return json.dumps({"colors": list(self.colors), "edges": edges}, sort_keys=True)
 
     @staticmethod
     def from_json_dict(data: dict) -> "LightGraph":
-        edges = {
-            src: (entry["next"], rational_text(entry["lambda"]))
-            for src, entry in data["edges"].items()
-        }
-        return LightGraph.build(data["colors"], edges)
+        """Read a graph file: `"colors"`, a list of distinct strings, and
+        `"edges"`, an object of `{"next": color, "lambda": "p/q"}` objects."""
+        colors = json_value(data, dict, "a graph")["colors"]
+        if not (isinstance(colors, list) and all(isinstance(c, str) for c in colors)):
+            raise ValueError(f"colors must be a list of strings, not {colors!r}")
+        edges = {}
+        for src, entry in json_value(data["edges"], dict, "edges").items():
+            json_value(entry, dict, f"the edge of {src}")
+            edges[src] = (json_value(entry["next"], str, "next"), rational_text(entry["lambda"]))
+        return LightGraph.build(colors, edges)
 
     @staticmethod
     def from_json(text: str) -> "LightGraph":
@@ -146,6 +155,9 @@ class LightGraph:
 def validate_graph(g: LightGraph) -> None:
     """Check out-degree exactly one per color and edge targets inside the color set."""
     member = set(g.colors)
+    if len(member) != len(g.colors):
+        twice = next(c for i, c in enumerate(g.colors) if c in g.colors[:i])
+        raise GraphError(f"color {twice} is listed twice")
     for src in g.edges:
         if src not in member:
             raise UnknownSource(src)
@@ -175,7 +187,7 @@ class MovementModel:
                 raise ValueError("non-rigid movement requires delta > 0")
         elif self.kind == RIGID:
             if self.delta is not None:
-                raise ValueError("rigid movement takes no delta")
+                raise ValueError(f"rigid movement takes no delta, not {self.delta}")
         else:
             raise ValueError(f"unknown movement kind {self.kind!r}")
 
@@ -217,27 +229,6 @@ class SchedulerClass:
     @staticmethod
     def asynchronous(lc_atomic: bool = False, move_atomic: bool = False) -> "SchedulerClass":
         return SchedulerClass(ASYNC, lc_atomic, move_atomic)
-
-
-def scheduler_to_dict(cls: SchedulerClass) -> dict:
-    return {"kind": cls.kind, "lc_atomic": cls.lc_atomic, "move_atomic": cls.move_atomic}
-
-
-def scheduler_from_dict(data: dict) -> SchedulerClass:
-    return SchedulerClass(data["kind"], data["lc_atomic"], data["move_atomic"])
-
-
-def movement_to_dict(model: MovementModel) -> dict:
-    out: dict = {"kind": model.kind}
-    if model.delta is not None:
-        out["delta"] = format_rational(model.delta)
-    return out
-
-
-def movement_from_dict(data: dict) -> MovementModel:
-    if data["kind"] == RIGID:
-        return MovementModel.rigid()
-    return MovementModel.non_rigid(rational_text(data["delta"]))
 
 
 def destination(me: Fraction, other: Fraction, lam: Fraction) -> Fraction:

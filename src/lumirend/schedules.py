@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import FSYNC, SSYNC, SchedulerClass, format_rational, rational_text
+from .core import FSYNC, SSYNC, SchedulerClass, format_rational, json_value, rational_text
 
 OP_LOOK = "LOOK"
 OP_COMP = "COMP"
@@ -55,35 +55,28 @@ class Schedule:
     def __post_init__(self):
         _last_time(self.prefix, "prefix times")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "prefix": [
-                {
-                    "t": s.time,
-                    "ops": list(s.ops),
-                    "fractions": [None if f is None else format_rational(f) for f in s.fractions],
-                }
-                for s in self.prefix
-            ]
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        slots = [
+            {"t": s.time, "ops": list(s.ops),
+             "fractions": [None if f is None else format_rational(f) for f in s.fractions]}
+            for s in self.prefix
+        ]
+        return json.dumps({"prefix": slots}, sort_keys=True)
 
     @staticmethod
     def from_json_dict(data: dict, horizon: int | None = None) -> "Schedule":
         """Read a schedule file: its `"prefix"` slots, then its `"loop"` block
         (slots at offsets `"dt"` in 1..`"period"`) repeated after the prefix,
         all cut at `horizon`, or at the file's own `"horizon"` if none is given."""
-        _object(data, "a schedule")
+        json_value(data, dict, "a schedule")
         if horizon is None:
             horizon = data.get("horizon")
         if horizon is not None:
-            _integer(horizon, "horizon")
+            json_value(horizon, int, "horizon")
         slots = [_read_slot(e, "t") for e in data.get("prefix", [])]
         base = _last_time(slots, "prefix times")
         if data.get("loop"):
-            period = _integer(_object(data["loop"], "a loop")["period"], "period")
+            period = json_value(json_value(data["loop"], dict, "a loop")["period"], int, "period")
             if period < 1:
                 raise ValueError("the loop period must be at least 1")
             loop = [_read_slot(e, "dt") for e in data["loop"]["ops"]]
@@ -115,28 +108,16 @@ def _last_time(slots, what: str) -> int:
     return last
 
 
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object, not {value!r}")
-    return value
-
-
-def _integer(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, not {value!r}")
-    return value
-
-
 def _read_slot(entry: dict, key: str) -> Slot:
     """One slot of a schedule file, timed by its `key` ("t" or "dt")."""
-    ops = _object(entry, "a slot")["ops"]
+    ops = json_value(entry, dict, "a slot")["ops"]
     fractions = entry.get("fractions", [None, None])
     if not (isinstance(ops, list) and len(ops) == 2 and all(isinstance(op, str) for op in ops)):
         raise ValueError(f"ops must be two op names, not {ops!r}")
     if not (isinstance(fractions, list) and len(fractions) == 2):
         raise ValueError(f"fractions must be two entries, not {fractions!r}")
     return Slot(
-        _integer(entry[key], key),
+        json_value(entry[key], int, key),
         tuple(ops),
         tuple(None if f is None else rational_text(f) for f in fractions),
     )

@@ -63,12 +63,9 @@ from .core import (
     SchedulerClass,
     destination,
     format_rational,
-    movement_from_dict,
-    movement_to_dict,
+    json_value,
     rational,
     rational_text,
-    scheduler_from_dict,
-    scheduler_to_dict,
     start_distance,
     transition,
     truncate_move,
@@ -142,36 +139,19 @@ class ScalingLoopCertificate:
     movement: MovementModel
     entry_colors: tuple[str, str]
     entry_distance: Fraction
-    schedule_block: tuple[Slot, ...]
+    schedule_block: Schedule
     ratio: Fraction
     swap: bool
 
-    def block_schedule(self) -> Schedule:
-        return Schedule(prefix=self.schedule_block)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "algorithm": self.graph.to_json_dict(),
-            "scheduler": scheduler_to_dict(self.scheduler),
-            "movement": movement_to_dict(self.movement),
-            "entry": {
-                "colors": list(self.entry_colors),
-                "distance": format_rational(self.entry_distance),
-            },
-            "block": self.block_schedule().to_json_dict(),
-            "ratio": format_rational(self.ratio),
-            "swap": self.swap,
-        }
-
     def to_json(self) -> str:
-        """`json.dumps(self.to_json_dict(), sort_keys=True, indent=2)`, byte
-        for byte, written line by line in that layout: with `indent`, `json`
-        runs its pure-Python encoder, several times slower.  Strings are
-        escaped by `json`'s own ASCII encoder, and the block is checked as a
-        `Schedule` prefix, as in `to_json_dict`."""
+        """The certificate as the JSON object `from_json_dict` reads, byte
+        for byte as `json.dumps(..., sort_keys=True, indent=2)` lays it out.
+        It is written line by line: with `indent`, `json` runs its
+        pure-Python encoder, several times slower.  Strings are escaped by
+        `json`'s own ASCII encoder."""
         g, scheduler, delta = self.graph, self.scheduler, self.movement.delta
         edges = [_edge_json(c, e) for c, e in sorted(g.edges.items())]
-        slots = [_slot_json(s) for s in self.block_schedule().prefix]
+        slots = [_slot_json(s) for s in self.schedule_block.prefix]
         return (
             "{\n"
             '  "algorithm": {\n'
@@ -201,15 +181,25 @@ class ScalingLoopCertificate:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ScalingLoopCertificate":
+        """Read a certificate file, each value with the JSON type `to_json`
+        writes; `SchedulerClass` and `MovementModel` check the kinds."""
+        scheduler = json_value(json_value(data, dict, "a certificate")["scheduler"], dict, "scheduler")
+        lc_atomic, move_atomic = (json_value(scheduler[k], bool, k) for k in ("lc_atomic", "move_atomic"))
+        movement = json_value(data["movement"], dict, "movement")
+        delta = rational_text(movement["delta"]) if "delta" in movement else None
+        entry = json_value(data["entry"], dict, "entry")
+        colors = entry["colors"]
+        if not (isinstance(colors, list) and len(colors) == 2 and all(isinstance(c, str) for c in colors)):
+            raise ValueError(f"entry colors must be two colors, not {colors!r}")
         return ScalingLoopCertificate(
             graph=LightGraph.from_json_dict(data["algorithm"]),
-            scheduler=scheduler_from_dict(data["scheduler"]),
-            movement=movement_from_dict(data["movement"]),
-            entry_colors=tuple(data["entry"]["colors"]),
-            entry_distance=rational_text(data["entry"]["distance"]),
-            schedule_block=Schedule.from_json_dict(data["block"]).prefix,
+            scheduler=SchedulerClass(scheduler["kind"], lc_atomic, move_atomic),
+            movement=MovementModel(movement["kind"], delta),
+            entry_colors=tuple(colors),
+            entry_distance=rational_text(entry["distance"]),
+            schedule_block=Schedule.from_json_dict(data["block"]),
             ratio=rational_text(data["ratio"]),
-            swap=data["swap"],
+            swap=json_value(data["swap"], bool, "swap"),
         )
 
     @staticmethod
@@ -304,12 +294,12 @@ def validate_certificate(cert: ScalingLoopCertificate) -> None:
         raise CertificateError(f"ratio {cert.ratio} is not positive")
     if cert.entry_distance <= 0:
         raise CertificateError("entry distance must be positive")
-    if starved_robot(cert.schedule_block) is not None:
+    if starved_robot(cert.schedule_block.prefix) is not None:
         raise CertificateError("block is unfair: a robot completes no cycle")
     c_r, c_s = cert.entry_colors
     d0 = cert.entry_distance
     # first traversal from the entry configuration
-    schedule = cert.block_schedule()
+    schedule = cert.schedule_block
     end1 = _replay_block(cert, schedule, (c_r, c_s), d0, check=True)
     want1 = (c_s, c_r) if cert.swap else (c_r, c_s)
     if end1.pair != want1 or end1.d != cert.ratio * d0:
@@ -408,7 +398,7 @@ def detect_scaling_loop(trace: Trace) -> ScalingLoopCertificate | None:
                 movement=trace.movement,
                 entry_colors=pi,
                 entry_distance=di,
-                schedule_block=blk,
+                schedule_block=Schedule(blk),
                 ratio=dj / di,
                 swap=swap,
             )
@@ -907,7 +897,7 @@ class SearchGraph:
             movement=self.cfg.movement,
             entry_colors=rep[0],
             entry_distance=d0,
-            schedule_block=_timed(rows),
+            schedule_block=Schedule(_timed(rows)),
             ratio=abs(state[2][1] - state[2][0]) / d0,
             swap=False,
         )

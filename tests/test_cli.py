@@ -333,7 +333,7 @@ def test_a_block_that_stops_after_a_look_is_no_divergence(tmp_path, capsys):
     assert (code, err) == (3, "")
     # its certificate, were the end of the Look a cycle start
     cert = {
-        "algorithm": builtin("ss5").to_json_dict(),
+        "algorithm": json.loads(builtin("ss5").to_json()),
         "scheduler": {"kind": "async", "lc_atomic": True, "move_atomic": False},
         "movement": {"kind": "rigid"},
         "entry": {"colors": ["A", "B"], "distance": "1/1"},
@@ -431,6 +431,9 @@ def test_an_empty_loop_block_repeats_nothing(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "")
 
 
+SS3 = json.loads(builtin("ss3").to_json())
+
+
 def _cert_with(path, change):
     main(["replay", "lemma6_alg_a", "--out", str(path)])
     data = json.loads(path.read_text())
@@ -460,8 +463,26 @@ def _cert_with(path, change):
         ("schedule", {"loop": [1], "horizon": 4}, "a loop must be a JSON object, not [1]"),
         ("certificate", lambda c: c.update(ratio=0.25), "not a p/q string: 0.25"),
         ("certificate", lambda c: c["entry"].update(distance=1), "not a p/q string: 1"),
+        ("certificate", lambda c: c.update(swap="false"), "swap must be true or false, not 'false'"),
+        ("certificate", lambda c: c["entry"].update(colors="BC"), "entry colors must be two colors, not 'BC'"),
+        ("certificate", lambda c: c["entry"].update(colors=["B", "C", "A"]),
+         "entry colors must be two colors, not ['B', 'C', 'A']"),
+        ("certificate", lambda c: c["scheduler"].update(lc_atomic="no"), "lc_atomic must be true or false, not 'no'"),
+        ("certificate", lambda c: c.update(movement={"kind": "rigd", "delta": "1/4"}),
+         "unknown movement kind 'rigd'"),
+        ("certificate", lambda c: c.update(movement={"kind": "rigid", "delta": "1/4"}),
+         "rigid movement takes no delta, not 1/4"),
+        ("certificate", lambda c: c["algorithm"].update(colors="ABCD"), "colors must be a list of strings, not 'ABCD'"),
         ("graph", 0.5, "not a p/q string: 0.5"),
         ("graph", True, "not a p/q string: True"),
+        ("graph file", {**SS3, "colors": "ABC"}, "colors must be a list of strings, not 'ABC'"),
+        ("graph file", {**SS3, "colors": ["A", "B", "C", "A"]}, "color A is listed twice"),
+        ("graph file", {**SS3, "edges": {**SS3["edges"], "A": ["B", "1/2"]}},
+         "the edge of A must be a JSON object, not ['B', '1/2']"),
+        ("graph file", {**SS3, "edges": {**SS3["edges"], "A": {"next": 1, "lambda": "1/2"}}},
+         "next must be a string, not 1"),
+        ("graph file", {**SS3, "edges": []}, "edges must be a JSON object, not []"),
+        ("graph file", [], "a graph must be a JSON object, not []"),
     ],
 )
 def test_malformed_files_are_usage_errors(tmp_path, capsys, kind, content, message):
@@ -474,8 +495,10 @@ def test_malformed_files_are_usage_errors(tmp_path, capsys, kind, content, messa
         capsys.readouterr()
         argv = ("replay", "--validate", str(path))
     else:
-        graph = builtin("ss3").to_json_dict()
-        graph["edges"]["A"]["lambda"] = content
+        graph = content
+        if kind == "graph":  # the content is edge A's lambda
+            graph = json.loads(builtin("ss3").to_json())
+            graph["edges"]["A"]["lambda"] = content
         path.write_text(json.dumps(graph))
         argv = ("verify", "--alg", str(path), "--class", "ssync", "--init", "A,A", "--horizon", "8")
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
@@ -507,6 +530,36 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out.splitlines()[-1])["distance"] == "0/1"
+
+
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        ({"nonrigid": "false", "delta": "1/4"}, ("verify", "--alg", "qss4", "--init", "A,A"),
+         "nonrigid must be true or false, not 'false'"),
+        ({"timestamp": "no"}, ("verify", "--alg", "qss4", "--init", "A,A"), "timestamp must be true or false, not 'no'"),
+        ({"horizon": 8.5}, ("verify", "--alg", "qss4", "--init", "A,A"), "argument --horizon: invalid int value: '8.5'"),
+        ({"horizon": 8.5}, ("run", "--alg", "ss3", "--schedule", "alt", "--init", "A,A"),
+         "argument --horizon: invalid int value: '8.5'"),
+        ({"horizon": None}, ("verify", "--alg", "qss4", "--init", "A,A"), "horizon must be a string or a number, not None"),
+        ({"format": "xml"}, ("run", "--alg", "ss3", "--schedule", "alt", "--init", "A,A"),
+         "argument --format: invalid choice: 'xml' (choose from 'jsonl', 'csv')"),
+    ],
+)
+def test_config_values_take_their_flags_types(tmp_path, capsys, config, argv, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(capsys, "--config", str(path), *argv) == (1, "", f"error: {path}: {message}\n")
+
+
+def test_config_values_are_read_as_on_the_command_line(tmp_path, capsys):
+    argv = ("verify", "--alg", "qss4", "--init", "A,A")
+    want = run_cli(capsys, *argv, "--horizon", "8")
+    assert want[0] == 0
+    path = tmp_path / "config.json"
+    for config in ({"horizon": 8}, {"horizon": "8", "nonrigid": False, "timestamp": False}):
+        path.write_text(json.dumps(config))
+        assert run_cli(capsys, "--config", str(path), *argv) == want
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):

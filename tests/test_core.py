@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -155,5 +156,5 @@ def test_light_graph_json_roundtrip():
     g = builtin("qss4")
     back = LightGraph.from_json(g.to_json())
     assert back == g
-    data = g.to_json_dict()
+    data = json.loads(g.to_json())
     assert data["edges"]["A"] == {"next": "B", "lambda": "1/2"}

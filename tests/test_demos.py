@@ -1,5 +1,4 @@
-"""The demos run to completion and print their walk-through.  The survey demo
-is left out: it takes about 16 s."""
+"""The demos run to completion and print their walk-through."""
 
 import os
 import subprocess
@@ -11,10 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize(
-    "demo", ["trace_anatomy.py", "replay_divergence_loops.py", "certify_positive_algorithms.py"]
-)
-def test_demo_runs(demo):
+def _run_demo(demo: str) -> str:
     path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
@@ -22,3 +18,18 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "demo", ["trace_anatomy.py", "replay_divergence_loops.py", "certify_positive_algorithms.py"]
+)
+def test_demo_runs(demo):
+    _run_demo(demo)
+
+
+def test_survey_demo_finds_no_three_color_algorithm():
+    lines = [line.strip() for line in _run_demo("survey_small_algorithm_space.py").splitlines()]
+    # criterion 08: no three-color algorithm certifies rendezvous from all same-color starts
+    assert "algorithms certifying all same-color starts: 0" in lines
+    assert "algorithms with no divergence found either: 0" in lines

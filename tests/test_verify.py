@@ -17,6 +17,7 @@ from lumirend.core import (
     MovementModel,
     SchedulerClass,
     destination,
+    format_rational,
     transition,
     truncate_move,
 )
@@ -136,7 +137,7 @@ def _reference_detect_scaling_loop(trace, dropped=None):
             if not blk or starved_robot(blk) is not None:
                 continue
             cert = ScalingLoopCertificate(
-                trace.graph, trace.scheduler, trace.movement, ci.pair, ci.d, blk, cj.d / ci.d, swap
+                trace.graph, trace.scheduler, trace.movement, ci.pair, ci.d, Schedule(blk), cj.d / ci.d, swap
             )
             try:
                 validate_certificate(cert)
@@ -211,9 +212,29 @@ def test_certificate_roundtrip_and_tampering():
         validate_certificate(tampered)
 
 
+def _reference_json_dict(cert) -> dict:
+    """The certificate as a dict of the JSON types its file holds."""
+    movement = {"kind": cert.movement.kind}
+    if cert.movement.delta is not None:
+        movement["delta"] = format_rational(cert.movement.delta)
+    return {
+        "algorithm": json.loads(cert.graph.to_json()),
+        "scheduler": {
+            "kind": cert.scheduler.kind,
+            "lc_atomic": cert.scheduler.lc_atomic,
+            "move_atomic": cert.scheduler.move_atomic,
+        },
+        "movement": movement,
+        "entry": {"colors": list(cert.entry_colors), "distance": format_rational(cert.entry_distance)},
+        "block": json.loads(cert.schedule_block.to_json()),
+        "ratio": format_rational(cert.ratio),
+        "swap": cert.swap,
+    }
+
+
 def _assert_json_matches_the_reference(cert):
     text = cert.to_json()
-    assert text == json.dumps(cert.to_json_dict(), sort_keys=True, indent=2)
+    assert text == json.dumps(_reference_json_dict(cert), sort_keys=True, indent=2)
     again = ScalingLoopCertificate.from_json(text)
     assert again == cert and again.to_json() == text
 
@@ -248,7 +269,7 @@ def test_certificate_json_matches_the_reference_on_made_cases():
     # non-rigid, with None and non-None fractions
     cut = ScalingLoopCertificate(
         EXPANDING, SchedulerClass.ssync(), NR4, ("A", "A"), F(1),
-        block([("LC", "LC"), ("M", "M")], [(None, None), (F(1, 2), F(1, 2))]), F(3, 2), False,
+        Schedule(block([("LC", "LC"), ("M", "M")], [(None, None), (F(1, 2), F(1, 2))])), F(3, 2), False,
     )
     # color names that JSON escapes: a quote, a backslash, non-ASCII, a tab
     odd = LightGraph.build(
@@ -257,10 +278,10 @@ def test_certificate_json_matches_the_reference_on_made_cases():
     )
     named = ScalingLoopCertificate(
         odd, LC, MovementModel.non_rigid(F(1, 8)), ("é", 'A"'), F(5, 3),
-        block([("LC", "-"), ("M", "LC"), ("-", "M")], [(None, None), (F(0), None), (None, F(1))]),
+        Schedule(block([("LC", "-"), ("M", "LC"), ("-", "M")], [(None, None), (F(0), None), (None, F(1))])),
         F(2, 7), True,
     )
-    empty = dataclasses.replace(named, schedule_block=())
+    empty = dataclasses.replace(named, schedule_block=Schedule())
     for cert in (swapped, cut, named, empty):
         _assert_json_matches_the_reference(cert)
     assert '"prefix": []' in empty.to_json()
@@ -294,12 +315,12 @@ def test_validation_checks_the_block_once(monkeypatch):
     assert swapped.swap and not plain.swap
     calls = _count_check_legal(monkeypatch)
     validate_certificate(plain)
-    assert calls == [plain.block_schedule()]
+    assert calls == [plain.schedule_block]
     calls.clear()
     # the second replay of a swap recurrence runs the mirrored block, which is
     # legal exactly when the block is (test_legality_is_symmetric_under_mirroring)
     validate_certificate(swapped)
-    assert calls == [swapped.block_schedule()]
+    assert calls == [swapped.schedule_block]
 
 
 def test_validation_rejects_an_illegal_block_as_the_engine_does():
@@ -310,7 +331,7 @@ def test_validation_rejects_an_illegal_block_as_the_engine_does():
         run(cert.graph, Schedule(prefix=blk), cert.entry_colors, cert.entry_distance,
             cert.scheduler, cert.movement)
     with pytest.raises(CertificateError) as rejected:
-        validate_certificate(dataclasses.replace(cert, schedule_block=blk))
+        validate_certificate(dataclasses.replace(cert, schedule_block=Schedule(blk)))
     assert str(rejected.value) == f"the engine rejects the block: {engine.value}"
 
 
@@ -575,7 +596,7 @@ def test_expanding_non_rigid_loop_needs_cuts_that_scale():
     # run scales, ratio 3/2.  Cut at fraction 0 it covers delta whatever the
     # distance, so the second replay does not scale
     def cert(fraction, ratio):
-        blk = block([("LC", "LC"), ("M", "M")], [(None, None), (fraction, fraction)])
+        blk = Schedule(block([("LC", "LC"), ("M", "M")], [(None, None), (fraction, fraction)]))
         return ScalingLoopCertificate(
             EXPANDING, SchedulerClass.ssync(), NR4, ("A", "A"), F(1), blk, ratio, False
         )
