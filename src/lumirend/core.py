@@ -52,14 +52,29 @@ def rational_text(value) -> Fraction:
 
 
 # how the values a file may hold are named in errors, by Python type
-_JSON_TYPES = {dict: "a JSON object", str: "a string", int: "an integer", bool: "true or false"}
+_JSON_TYPES = {
+    dict: "a JSON object", list: "a JSON array", str: "a string", int: "an integer", bool: "true or false"
+}
 
 
 def json_value(value, kind: type, what: str):
     """A value read from a file, which must have the JSON type `kind`
-    (`dict`, `str`, `int` or `bool`); else an error names `what` and the value."""
+    (`dict`, `list`, `str`, `int` or `bool`); else an error names `what` and the value."""
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, not {value!r}")
+    return value
+
+
+def json_object(value, what: str, required: tuple, optional: tuple = ()) -> dict:
+    """A JSON object read from a file with the keys `required`, any of
+    `optional`, and no others; else an error names `what` and the keys."""
+    json_value(value, dict, what)
+    unknown = sorted(set(value).difference(required, optional))
+    if unknown:
+        raise ValueError(f"{what} has unknown keys: {', '.join(unknown)}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise ValueError(f"{what} lacks the keys: {', '.join(missing)}")
     return value
 
 
@@ -235,12 +250,17 @@ def destination(me: Fraction, other: Fraction, lam: Fraction) -> Fraction:
     """Destination point (1-lam)*me + lam*other, exactly.
 
     The labels 0 (stay) and 1 (jump onto the other robot) need no arithmetic.
+    Otherwise, with me = a/b, other = c/d and lam = p/q, the point is one
+    integer numerator over b*d*q, so one `Fraction` is built.
     """
-    if lam == 0:
+    p, q = lam.numerator, lam.denominator
+    if p == 0:
         return me
-    if lam == 1:
+    if p == q:
         return other
-    return me + lam * (other - me)
+    a, b = me.numerator, me.denominator
+    c, d = other.numerator, other.denominator
+    return Fraction((q - p) * a * d + p * c * b, q * b * d)
 
 
 def truncate_move(me: Fraction, dest: Fraction, model: MovementModel, adversary_fraction: Fraction) -> Fraction:

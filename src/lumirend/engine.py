@@ -21,9 +21,13 @@ tuple yields exactly one trace.
 
 A trace stores what the run did, not a snapshot per instant: the slots it
 executed (cut at rendezvous) and each robot's append-only histories of light
-writes and moves.  Every state query reads the histories, and the trace rows
-(`TraceStep`, the state effective at t+1 after each executed slot) are derived
-from them on first read.
+writes and moves.  Step times strictly increase, so every write and move so
+far was made before a step's instant: a step reads each robot's present
+light and position from the newest history entries, and the run tests for a
+meeting the same way.  A query about an earlier instant bisects the
+histories.  The trace rows (`TraceStep`, the state effective at t+1 after
+each executed slot) are derived from them on first read, and the cycle
+starts with their color pairs come from one walk over the histories.
 """
 
 from __future__ import annotations
@@ -104,8 +108,11 @@ class _Robot:
     """One robot's run-time state and append-only histories."""
 
     light_writes: list  # [(write_time, color)]; visible from write_time+1
-    moves: list  # [(tb, te, start, land)]
+    # [(tb, te, start, land, cut)]; `cut` when the adversary stopped the
+    # move short of its destination
+    moves: list
     initial_pos: Fraction
+    pos: Fraction  # where the newest move lands (the start before any): the position once it ends
     phase: str = IDLE
     snapshot: tuple[str, Fraction] | None = None
     pending: Fraction | None = None  # the destination Compute chose
@@ -115,9 +122,8 @@ class _Robot:
     looks: list = field(default_factory=list)
     effective_until: list = field(default_factory=list)
 
-    # Both histories are in time order.  Most queries are at the current
-    # time and are answered from the newest write or move; an earlier time
-    # bisects over the write or move-begin times.
+    # Both histories are in time order.  An earlier time bisects over the
+    # write or move-begin times; the present is read from the newest entries.
 
     def light_at(self, t) -> str:
         writes = self.light_writes
@@ -129,30 +135,40 @@ class _Robot:
         moves = self.moves
         # the moves begun before t; the newest of them decides
         k = len(moves) if moves and moves[-1][0] < t else bisect_left(moves, t, key=itemgetter(0))
-        if not k:
-            return self.initial_pos
-        tb, te, start, land = moves[k - 1]
-        if t >= te:
-            return land
-        return start + (land - start) * Fraction(t - tb, te - tb)
+        return _position_after(moves[k - 1], t) if k else self.initial_pos
+
+    def position_now(self, t) -> Fraction:
+        """The position at t, an instant after every move so far began."""
+        return _position_after(self.moves[-1], t) if self.phase == MOVING else self.pos
 
     def committed(self, g: LightGraph, t) -> bool:
-        """True if at time t the robot is moving, or has looked and will move,
-        away from where it stands."""
-        if self.phase == IDLE:
+        """True if at t, an instant after the robot's last operation, it is
+        moving, or has looked and will move, away from where it stands."""
+        phase = self.phase
+        if phase == IDLE:
             return False
-        here = self.position_at(t)
-        if self.phase == MOVING:
-            return self.moves[-1][3] != here
-        if self.phase == COMPUTED:
-            return self.pending != here
+        if phase == MOVING:
+            # in flight up to the instant before the move ends
+            _tb, te, start, land, _cut = self.moves[-1]
+            return t < te and land != start
+        if phase == COMPUTED:
+            return self.pending != self.pos
         _nl, lam = transition(g, self.snapshot[0])
-        return destination(here, self.snapshot[1], lam) != here
+        return destination(self.pos, self.snapshot[1], lam) != self.pos
 
     def mid_cycle(self, g: LightGraph, t) -> bool:
         """At a trace's end t: `committed`, or owing a Compute that changes its color."""
-        owes_color = self.phase == LOOKED and transition(g, self.snapshot[0])[0] != self.light_at(t)
+        owes_color = self.phase == LOOKED and transition(g, self.snapshot[0])[0] != self.light_writes[-1][1]
         return owes_color or self.committed(g, t)
+
+
+def _position_after(move, t) -> Fraction:
+    """The position at t of a robot whose newest move begun before t is `move`:
+    interpolated linearly inside the move window, landed from its end on."""
+    tb, te, start, land, _cut = move
+    if t >= te:
+        return land
+    return start + (land - start) * Fraction(t - tb, te - tb)
 
 
 @dataclass(frozen=True)
@@ -183,7 +199,6 @@ class Trace:
         self.slots: list[Slot] = slots
         self.rendezvous_time = rendezvous_time
         self.end_time = slots[-1].time + 1 if slots else 0
-        self._open_at_end = tuple(r.mid_cycle(graph, self.end_time) for r in robots)
 
     @cached_property
     def steps(self) -> list[TraceStep]:
@@ -210,6 +225,10 @@ class Trace:
     def configuration_at(self, t) -> ConfigurationView:
         return ConfigurationView(self.light_at(0, t), self.light_at(1, t), self.distance_at(t))
 
+    def cuts_a_move(self) -> bool:
+        """Whether the adversary stopped some move short of its destination."""
+        return any(move[4] for r in self._robots for move in r.moves)
+
     # -- operation queries ----------------------------------------------
 
     def next_op(self, robot: int, op: str, t: int) -> int | None:
@@ -229,13 +248,20 @@ class Trace:
 
     # -- cycle start times ----------------------------------------------
 
+    @cached_property
+    def _open_at_end(self) -> tuple[bool, bool]:
+        return tuple(r.mid_cycle(self.graph, self.end_time) for r in self._robots)
+
+    def _in_cycle(self, i: int, k: int, t: int) -> bool:
+        """Whether robot i is still in a cycle at t, so that t is no cycle
+        start: its k-th cycle, the last whose Look came before t (k = 0:
+        none), changes its color or position at or after t (see `cs_times`)."""
+        r = self._robots[i]
+        return k > 0 and (t <= r.effective_until[k - 1] or (k == len(r.looks) and self._open_at_end[i]))
+
     def is_cs(self, t: int) -> bool:
         """Whether t is a cycle start time (see `cs_times`)."""
-        for r, open_end in zip(self._robots, self._open_at_end):
-            k = bisect_left(r.looks, t)  # cycles whose Look came before t
-            if k and (t <= r.effective_until[k - 1] or (open_end and k == len(r.looks))):
-                return False
-        return True
+        return not any(self._in_cycle(i, bisect_left(r.looks, t), t) for i, r in enumerate(self._robots))
 
     def cs_times(self) -> list[int]:
         """All cycle start times: instants where both robots' next performed
@@ -251,9 +277,42 @@ class Trace:
         cycle still open at the trace's end has none if it leaves the robot
         committed to a displacing move or owing a Compute that changes the
         color; a Compute that changes nothing normalizes away."""
-        candidates = {0, self.end_time}
-        candidates.update(s.time for s in self.slots)
-        return [t for t in sorted(candidates) if self.is_cs(t)]
+        return list(self._cycle_starts[0])
+
+    def cs_lights(self) -> list[tuple[str, str]]:
+        """The color pair at each of the `cs_times`, in the same order."""
+        return list(self._cycle_starts[1])
+
+    @cached_property
+    def _cycle_starts(self) -> tuple[list[int], list[tuple[str, str]]]:
+        """The cycle starts and their color pairs, from one walk over the
+        candidate instants (0, the slot times and the end) and the histories."""
+        candidates = [0, *(s.time for s in self.slots), self.end_time] if self.slots else [0]
+        times, pairs = [], []
+        for t, c0, c1 in zip(candidates, self._free_lights(0, candidates), self._free_lights(1, candidates)):
+            if c0 is not None and c1 is not None:
+                times.append(t)
+                pairs.append((c0, c1))
+        return times, pairs
+
+    def _free_lights(self, i: int, candidates: list[int]) -> list[str | None]:
+        """Per candidate t, in increasing order: robot i's light at t, or None
+        where it is still in a cycle.  The Looks and the light writes before t
+        are counted by advancing through each history once."""
+        r = self._robots[i]
+        looks, writes = r.looks, r.light_writes
+        k, j = 0, 1  # the Looks and the writes before t; the initial light is always in
+        out = []
+        for t in candidates:
+            while k < len(looks) and looks[k] < t:
+                k += 1
+            if self._in_cycle(i, k, t):
+                out.append(None)
+                continue
+            while j < len(writes) and writes[j][0] < t:
+                j += 1
+            out.append(writes[j - 1][1])
+        return out
 
     # -- export ----------------------------------------------------------
 
@@ -318,10 +377,11 @@ class Simulation:
         self.scheduler = scheduler
         self.movement = movement
         self.robots = [
-            _Robot(light_writes=[(-1, lights[i])], moves=[], initial_pos=Fraction(positions[i]))
+            _Robot(light_writes=[(-1, lights[i])], moves=[], initial_pos=Fraction(positions[i]),
+                   pos=Fraction(positions[i]))
             for i in ROBOTS
         ]
-        self.now = 0
+        self.now = -1  # the time of the latest step
 
     # -- observation helpers ----------------------------------------------
 
@@ -343,77 +403,93 @@ class Simulation:
         """Apply one time instant's operation pair.
 
         `move_ends` supplies, for an MB op, the time its ME will occur, which
-        fixes how the robot is observed mid-flight.
+        fixes how the robot is observed mid-flight.  Times strictly increase,
+        so every write and move so far was made before t, and a robot's light
+        and position at t are read from its newest history entries.
         """
-        if t < self.now:
-            raise EngineError("times must be non-decreasing")
+        if t <= self.now:
+            raise EngineError("times must increase")
+        r0, r1 = self.robots
+        op0, op1 = ops
         # all Looks read the state before any of this instant's writes
-        observed = {}
-        for i in ROBOTS:
-            if ops[i] in (OP_LOOK, OP_LC):
-                other = 1 - i
-                observed[i] = (self.light_at(other, t), self.position_at(other, t))
-        for i in ROBOTS:
-            op = ops[i]
-            if op == OP_NONE:
-                continue
-            r = self.robots[i]
-            if op in (OP_LOOK, OP_LC):
-                # a computed cycle that needs no move ends at the next Look
-                if r.phase == COMPUTED and r.pending == r.position_at(t):
-                    r.phase, r.pending, r.snapshot = IDLE, None, None
-                if r.phase != IDLE:
-                    raise IllegalOp(i, op, r.phase, t)
-                r.snapshot = observed[i]
-                r.looks.append(t)
-                r.effective_until.append(t)
-                r.phase = LOOKED
-                if op == OP_LC:
-                    if not self.scheduler.lc_atomic:
-                        raise AtomicityViolation(f"LC op at t={t} needs an LC-atomic class")
-                    self._do_comp(i, t)
-            elif op == OP_COMP:
-                if r.phase != LOOKED:
-                    raise IllegalOp(i, op, r.phase, t)
-                self._do_comp(i, t)
-            elif op in (OP_MB, OP_M):
-                if r.phase != COMPUTED:
-                    raise IllegalOp(i, op, r.phase, t)
-                te = t + 1 if op == OP_M else move_ends[i]
-                if te is None or te <= t:
-                    raise EngineError(f"robot {i}: MB at t={t} without a later ME")
-                pos, dest, frac = r.position_at(t), r.pending, fractions[i]
-                # a full move lands on its destination under either movement model
-                land = dest if frac is None else truncate_move(pos, dest, self.movement, frac)
-                r.moves.append((t, te, pos, land))
-                if land != pos:
-                    # in flight up to the instant before the move ends
-                    r.effective_until[-1] = te - 1
-                if op == OP_M:
-                    # an atomic move ends in its own slot
-                    r.phase, r.pending, r.snapshot = IDLE, None, None
-                else:
-                    r.phase = MOVING
-            elif op == OP_ME:
-                if r.phase != MOVING or r.moves[-1][1] != t:
-                    raise IllegalOp(i, op, r.phase, t)
-                if r.moves[-1][3] != r.moves[-1][2]:
-                    r.effective_until[-1] = t
-                r.phase, r.pending, r.snapshot = IDLE, None, None
-            else:
-                raise EngineError(f"unknown op {op!r}")
+        seen0 = (r1.light_writes[-1][1], r1.position_now(t)) if op0 == OP_LC or op0 == OP_LOOK else None
+        seen1 = (r0.light_writes[-1][1], r0.position_now(t)) if op1 == OP_LC or op1 == OP_LOOK else None
+        if op0 != OP_NONE:
+            self._act(0, r0, op0, t, seen0, fractions[0], move_ends[0])
+        if op1 != OP_NONE:
+            self._act(1, r1, op1, t, seen1, fractions[1], move_ends[1])
         self.now = t
 
-    def _do_comp(self, i: int, t: int) -> None:
-        r = self.robots[i]
+    def _act(self, i: int, r: _Robot, op: str, t: int, seen, frac, move_end) -> None:
+        """Robot i performs `op` at t; a Look records `seen`, an MB lands by
+        `frac` and ends at `move_end`.  The robot stands at `r.pos` unless it
+        is moving, and only an ME is legal then."""
+        if op == OP_LOOK or op == OP_LC:
+            # a computed cycle that needs no move ends at the next Look
+            if r.phase == COMPUTED and r.pending == r.pos:
+                r.phase, r.pending, r.snapshot = IDLE, None, None
+            if r.phase != IDLE:
+                raise IllegalOp(i, op, r.phase, t)
+            r.snapshot = seen
+            r.looks.append(t)
+            r.effective_until.append(t)
+            r.phase = LOOKED
+            if op == OP_LC:
+                if not self.scheduler.lc_atomic:
+                    raise AtomicityViolation(f"LC op at t={t} needs an LC-atomic class")
+                self._do_comp(r, t)
+        elif op == OP_COMP:
+            if r.phase != LOOKED:
+                raise IllegalOp(i, op, r.phase, t)
+            self._do_comp(r, t)
+        elif op == OP_MB or op == OP_M:
+            if r.phase != COMPUTED:
+                raise IllegalOp(i, op, r.phase, t)
+            te = t + 1 if op == OP_M else move_end
+            if te is None or te <= t:
+                raise EngineError(f"robot {i}: MB at t={t} without a later ME")
+            pos, dest = r.pos, r.pending
+            # a full move lands on its destination under either movement model
+            land = dest if frac is None else truncate_move(pos, dest, self.movement, frac)
+            r.moves.append((t, te, pos, land, land != dest))
+            r.pos = land
+            if land != pos:
+                # in flight up to the instant before the move ends
+                r.effective_until[-1] = te - 1
+            if op == OP_M:
+                # an atomic move ends in its own slot
+                r.phase, r.pending, r.snapshot = IDLE, None, None
+            else:
+                r.phase = MOVING
+        elif op == OP_ME:
+            if r.phase != MOVING or r.moves[-1][1] != t:
+                raise IllegalOp(i, op, r.phase, t)
+            if r.pos != r.moves[-1][2]:
+                r.effective_until[-1] = t
+            r.phase, r.pending, r.snapshot = IDLE, None, None
+        else:
+            raise EngineError(f"unknown op {op!r}")
+
+    def _do_comp(self, r: _Robot, t: int) -> None:
         seen_color, seen_pos = r.snapshot
-        next_light, lam = transition(self.g, seen_color)
-        dest = destination(r.position_at(t), seen_pos, lam)
-        if next_light != r.light_at(t):
+        edge = self.g.edges[seen_color]
+        if edge.target != r.light_writes[-1][1]:
             r.effective_until[-1] = t
-        r.light_writes.append((t, next_light))
-        r.pending = dest
+        r.light_writes.append((t, edge.target))
+        r.pending = destination(r.pos, seen_pos, edge.lam)
         r.phase = COMPUTED
+
+
+def _move_end(slots, k: int, robot: int) -> int | None:
+    """The time of the ME that ends `robot`'s MB in slot k: its next MB or
+    ME decides, and an MB first leaves the move without an end."""
+    for slot in slots[k + 1 :]:
+        op = slot.ops[robot]
+        if op == OP_ME:
+            return slot.time
+        if op == OP_MB:
+            return None
+    return None
 
 
 def run(
@@ -444,18 +520,20 @@ def run(
     simstate = Simulation(g, scheduler, movement, list(initial_colors), positions)
     r0, r1 = simstate.robots
     slots = list(schedule.prefix)
-    # per robot, the ME time of each split move by its MB time
-    ends = [sched.windows(slots, r, OP_MB, OP_ME) for r in ROBOTS]
-
-    def met(t) -> bool:
-        # rendezvous: one point, and no robot committed to a displacing move
-        return r0.position_at(t) == r1.position_at(t) and not (r0.committed(g, t) or r1.committed(g, t))
-
-    if stop_at_rendezvous and met(0):
+    # rendezvous: one point, and no robot committed to a displacing move; a
+    # robot stands at `pos` unless it is in flight on a displacing move, and
+    # then it is committed
+    if stop_at_rendezvous and r0.pos == r1.pos and not (r0.committed(g, 0) or r1.committed(g, 0)):
         return Trace(g, scheduler, movement, simstate.robots, [], 0)
+    step = simstate.step
     for k, slot in enumerate(slots):
-        t = slot.time
-        simstate.step(t, slot.ops, slot.fractions, (ends[0].get(t), ends[1].get(t)))
-        if stop_at_rendezvous and met(t + 1):
+        t, ops = slot.time, slot.ops
+        # per robot, the ME time of an MB in this slot
+        ends = (_move_end(slots, k, 0), _move_end(slots, k, 1)) if OP_MB in ops else _NO_ENDS
+        step(t, ops, slot.fractions, ends)
+        if stop_at_rendezvous and r0.pos == r1.pos and not (r0.committed(g, t + 1) or r1.committed(g, t + 1)):
             return Trace(g, scheduler, movement, simstate.robots, slots[: k + 1], t + 1)
     return Trace(g, scheduler, movement, simstate.robots, slots, None)
+
+
+_NO_ENDS = (None, None)

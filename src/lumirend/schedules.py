@@ -123,6 +123,12 @@ def _read_slot(entry: dict, key: str) -> Slot:
     )
 
 
+def read_prefix(entries) -> Schedule:
+    """A schedule read from a `"prefix"` list of slots alone, as
+    `Schedule.to_json` writes it: no loop and no horizon."""
+    return Schedule(tuple(_read_slot(e, "t") for e in json_value(entries, list, "prefix")))
+
+
 def block(op_rows: list[tuple], fractions: list[tuple] | None = None) -> tuple[Slot, ...]:
     """Build consecutive slots from rows of (op_r, op_s), starting at time 1."""
     slots = []
@@ -178,120 +184,105 @@ _NEXT_PHASE = {
     (MOVING, OP_ME): IDLE,
 }
 
-# The checks below, except `windows`, read one robot's (time, op) list, its ops
-# other than '-' in time order.
+_KNOWN_OPS = frozenset(ALL_OPS)
+# the ops that open or close a Look..Comp or move window: the split ops, which rounds forbid
+_WINDOW_OPS = frozenset((OP_LOOK, OP_COMP, OP_MB, OP_ME))
 
 
 # No spacing check is needed: a Schedule's times strictly increase, so one
 # robot's ops are at least the one tick apart that Comp and M effects need.
-def _check_pattern(ops: list[tuple[int, str]], robot: int) -> list[Violation]:
-    phase = IDLE
-    for t, op in ops:
-        key = (phase, op)
-        if key not in _NEXT_PHASE:
-            return [
-                Violation("cycle-order", robot, (t,), f"robot {robot}: op {op} illegal in phase {phase} at t={t}")
-            ]
-        phase = _NEXT_PHASE[key]
-    return []
-
-
-def windows(slots, robot: int, begin_op: str, end_op: str) -> dict[int, int]:
-    """Begin time -> end time of each of `robot`'s `begin_op`..`end_op`
-    windows in `slots`: an end closes the latest open begin."""
-    spans = {}
-    open_t = None
-    for slot in slots:
-        op = slot.ops[robot]
-        if op == begin_op:
-            open_t = slot.time
-        elif op == end_op and open_t is not None:
-            spans[open_t] = slot.time
-            open_t = None
-    return spans
-
-
-def _check_rounds(ops: tuple[list, list], cls: SchedulerClass) -> list[Violation]:
-    """FSYNC/SSYNC structure: cycles are instantaneous rounds.
-
-    Encoded on the integer timeline as an LC at round time t with the move (if
-    any) at t+1; no Look may coincide with a pending move tick, and FSYNC
-    activates both robots in every round.
-    """
-    split = []  # (t, robot, op) of the ops that rounds forbid
-    lc_times = ([], [])
-    m_times = ([], [])
-    for robot in ROBOTS:
-        for t, op in ops[robot]:
-            if op == OP_LC:
-                lc_times[robot].append(t)
-            elif op == OP_M:
-                m_times[robot].append(t)
-            elif op in (OP_LOOK, OP_COMP, OP_MB, OP_ME):
-                split.append((t, robot, op))
-    # the violations of one kind are reported in time order, robot 0 first
-    problems = [
-        Violation("round-structure", robot, (t,), f"{op} not allowed under {cls.kind}: cycles are atomic rounds")
-        for t, robot, op in sorted(split)
-    ]
-    for robot in ROBOTS:
-        lc_set = set(lc_times[robot])
-        for t in m_times[robot]:
-            if t - 1 not in lc_set:
-                problems.append(Violation("round-structure", robot, (t,), f"M at t={t} is not adjacent to its LC"))
-    move_ticks = set(m_times[0]) | set(m_times[1])
-    for t, robot in sorted((t, robot) for robot in ROBOTS for t in lc_times[robot] if t in move_ticks):
-        problems.append(Violation("round-structure", robot, (t,), f"Look at t={t} coincides with a move tick"))
-    if cls.kind == FSYNC and lc_times[0] != lc_times[1]:
-        problems.append(Violation("round-structure", None, (), "FSYNC requires both robots in every round"))
-    return problems
-
-
 def check_legal(s: Schedule, cls: SchedulerClass) -> list[Violation]:
     """Structural legality of a schedule under a scheduler class.
 
     Returns the list of violations (empty means legal): per-robot cycle order,
     atomic-op permissions, no foreign Look strictly inside a
     Look..Comp window (LC-atomic) or an MB..ME window (Move-atomic), and round
-    structure for FSYNC/SSYNC.
+    structure for FSYNC/SSYNC.  One pass over the slots collects each rule's
+    violations apart, and they are reported rule by rule: unknown ops and LC
+    permissions in time order (robot 0 first), each robot's first cycle-order
+    fault, the Looks inside each robot's Look..Comp windows and then inside
+    its move windows, and the round-structure faults.
+
+    Round structure encodes a cycle on the integer timeline as an LC at round
+    time t with the move (if any) at t+1: no split op is allowed, no Look may
+    coincide with a move tick, and FSYNC activates both robots in every round.
+    An atomic M spans (t, t+1), so no integer-time Look lands inside it: the
+    shorthand is acceptable under every class.
     """
-    problems: list[Violation] = []
-    ops: tuple[list, list] = ([], [])  # per robot: (time, op), ops other than '-'
+    rounds = cls.kind in (FSYNC, SSYNC)
+    ops_faults: list[Violation] = []
+    order_faults: list[Violation | None] = [None, None]
+    phase = [IDLE, IDLE]
+    looks: tuple[list, list] = ([], [])  # per robot, its Look times
+    # per window's end op and robot: the begin of the open window, and the
+    # (begin, Look, end) of each foreign Look inside a closed one
+    open_at = {OP_COMP: [None, None], OP_ME: [None, None]}
+    window_faults = {OP_COMP: ([], []), OP_ME: ([], [])}
+    split, far_moves, coinciding = [], ([], []), []
+    last_lc = [None, None]
+    unequal_rounds = False
     for slot in s.prefix:
-        t = slot.time
+        t, pair = slot.time, slot.ops
         for robot in ROBOTS:
-            op = slot.ops[robot]
+            op = pair[robot]
             if op == OP_NONE:
                 continue
-            ops[robot].append((t, op))
-            if op not in ALL_OPS:
-                problems.append(Violation("unknown-op", robot, (t,), f"unknown op {op!r}"))
+            if op not in _KNOWN_OPS:
+                ops_faults.append(Violation("unknown-op", robot, (t,), f"unknown op {op!r}"))
             elif op == OP_LC and not cls.lc_atomic:
-                problems.append(
-                    Violation("atomicity", robot, (t,), "LC op requires an LC-atomic scheduler class")
+                ops_faults.append(Violation("atomicity", robot, (t,), "LC op requires an LC-atomic scheduler class"))
+            if order_faults[robot] is None:
+                nxt = _NEXT_PHASE.get((phase[robot], op))
+                if nxt is None:
+                    order_faults[robot] = Violation(
+                        "cycle-order", robot, (t,), f"robot {robot}: op {op} illegal in phase {phase[robot]} at t={t}"
+                    )
+                else:
+                    phase[robot] = nxt
+            if op in LOOK_OPS:
+                looks[robot].append(t)
+            if op in _WINDOW_OPS:
+                # an end closes the robot's latest open begin; the other
+                # robot's Looks between them land inside the window
+                if op == OP_LOOK:
+                    open_at[OP_COMP][robot] = t
+                elif op == OP_MB:
+                    open_at[OP_ME][robot] = t
+                elif open_at[op][robot] is not None:
+                    a, open_at[op][robot] = open_at[op][robot], None
+                    window_faults[op][robot].extend((a, x, t) for x in looks[1 - robot] if a < x < t)
+                if rounds:
+                    split.append(
+                        Violation("round-structure", robot, (t,), f"{op} not allowed under {cls.kind}: cycles are atomic rounds")
+                    )
+            elif not rounds:
+                continue
+            elif op == OP_M:
+                if last_lc[robot] != t - 1:
+                    far_moves[robot].append(
+                        Violation("round-structure", robot, (t,), f"M at t={t} is not adjacent to its LC")
+                    )
+            elif op == OP_LC:
+                last_lc[robot] = t
+                other = pair[1 - robot]
+                if other == OP_M:
+                    coinciding.append(Violation("round-structure", robot, (t,), f"Look at t={t} coincides with a move tick"))
+                unequal_rounds = unequal_rounds or other != OP_LC
+    problems = ops_faults + [v for v in order_faults if v is not None]
+    for end_op, atomic, kind, name in (
+        (OP_COMP, cls.lc_atomic, "lc-window", "Look..Comp window"),
+        (OP_ME, cls.move_atomic, "move-window", "move window"),
+    ):
+        if atomic:
+            for robot in ROBOTS:
+                problems.extend(
+                    Violation(kind, 1 - robot, (a, x, b), f"Look at t={x} lands inside robot {robot}'s {name} ({a},{b})")
+                    for a, x, b in window_faults[end_op][robot]
                 )
-            # an atomic M spans (t, t+1): no integer-time Look can land inside,
-            # so the shorthand is acceptable under every class
-
-    for robot in ROBOTS:
-        problems.extend(_check_pattern(ops[robot], robot))
-
-    look_times = [[t for t, op in ops[r] if op in LOOK_OPS] for r in ROBOTS]
-    atomic = []
-    if cls.lc_atomic:
-        atomic.append(("lc-window", OP_LOOK, OP_COMP, "Look..Comp window"))
-    if cls.move_atomic:
-        atomic.append(("move-window", OP_MB, OP_ME, "move window"))
-    for kind, begin_op, end_op, name in atomic:
-        for robot in ROBOTS:
-            for a, b in windows(s.prefix, robot, begin_op, end_op).items():
-                for t in look_times[1 - robot]:
-                    if a < t < b:
-                        problems.append(
-                            Violation(kind, 1 - robot, (a, t, b), f"Look at t={t} lands inside robot {robot}'s {name} ({a},{b})")
-                        )
-    if cls.kind in (FSYNC, SSYNC):
-        problems.extend(_check_rounds(ops, cls))
+    if rounds:
+        problems += split + far_moves[0] + far_moves[1] + coinciding
+        if cls.kind == FSYNC and unequal_rounds:
+            problems.append(Violation("round-structure", None, (), "FSYNC requires both robots in every round"))
     return problems
 
 

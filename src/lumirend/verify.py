@@ -63,6 +63,7 @@ from .core import (
     SchedulerClass,
     destination,
     format_rational,
+    json_object,
     json_value,
     rational,
     rational_text,
@@ -71,7 +72,7 @@ from .core import (
     truncate_move,
     validate_graph,
 )
-from .engine import ConfigurationView, EngineError, Trace, check_lights, run
+from .engine import EngineError, Trace, check_lights, run
 from .schedules import (
     ALT_ROWS,
     LOOK_OPS,
@@ -85,6 +86,7 @@ from .schedules import (
     Slot,
     block,
     mirror,
+    read_prefix,
     starved_robot,
 )
 
@@ -181,23 +183,25 @@ class ScalingLoopCertificate:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ScalingLoopCertificate":
-        """Read a certificate file, each value with the JSON type `to_json`
-        writes; `SchedulerClass` and `MovementModel` check the kinds."""
-        scheduler = json_value(json_value(data, dict, "a certificate")["scheduler"], dict, "scheduler")
+        """Read a certificate file: exactly the keys `to_json` writes, each
+        value with its JSON type, and a `"block"` of `"prefix"` slots alone.
+        `SchedulerClass` and `MovementModel` check the kinds."""
+        json_object(data, "a certificate", ("algorithm", "block", "entry", "movement", "ratio", "scheduler", "swap"))
+        scheduler = json_object(data["scheduler"], "scheduler", ("kind", "lc_atomic", "move_atomic"))
         lc_atomic, move_atomic = (json_value(scheduler[k], bool, k) for k in ("lc_atomic", "move_atomic"))
-        movement = json_value(data["movement"], dict, "movement")
+        movement = json_object(data["movement"], "movement", ("kind",), ("delta",))
         delta = rational_text(movement["delta"]) if "delta" in movement else None
-        entry = json_value(data["entry"], dict, "entry")
+        entry = json_object(data["entry"], "entry", ("colors", "distance"))
         colors = entry["colors"]
         if not (isinstance(colors, list) and len(colors) == 2 and all(isinstance(c, str) for c in colors)):
             raise ValueError(f"entry colors must be two colors, not {colors!r}")
         return ScalingLoopCertificate(
-            graph=LightGraph.from_json_dict(data["algorithm"]),
+            graph=LightGraph.from_json_dict(json_object(data["algorithm"], "algorithm", ("colors", "edges"))),
             scheduler=SchedulerClass(scheduler["kind"], lc_atomic, move_atomic),
             movement=MovementModel(movement["kind"], delta),
             entry_colors=tuple(colors),
             entry_distance=rational_text(entry["distance"]),
-            schedule_block=Schedule.from_json_dict(data["block"]),
+            schedule_block=read_prefix(json_object(data["block"], "block", ("prefix",))["prefix"]),
             ratio=rational_text(data["ratio"]),
             swap=json_value(data["swap"], bool, "swap"),
         )
@@ -257,8 +261,9 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _replay_block(cert: ScalingLoopCertificate, schedule: Schedule, colors, distance, check) -> ConfigurationView:
-    """Run a block, checked for legality when `check` is set; its end state."""
+def _replay_block(cert: ScalingLoopCertificate, schedule: Schedule, colors, distance, check) -> Trace:
+    """Run a block, checked for legality when `check` is set; it must end at
+    a clean cycle start with no rendezvous."""
     try:
         trace = run(cert.graph, schedule, colors, distance, cert.scheduler, cert.movement, check=check)
     except EngineError as exc:
@@ -267,7 +272,7 @@ def _replay_block(cert: ScalingLoopCertificate, schedule: Schedule, colors, dist
         raise CertificateError("block reaches rendezvous; not a divergence witness")
     if not trace.is_cs(trace.end_time):
         raise CertificateError("block does not end at a clean cycle start")
-    return trace.configuration_at(trace.end_time)
+    return trace
 
 
 def validate_certificate(cert: ScalingLoopCertificate) -> None:
@@ -279,16 +284,24 @@ def validate_certificate(cert: ScalingLoopCertificate) -> None:
     with the recurring pair at distance ratio * d; the second, of the block
     (mirrored for a swap) from there, must restore the entry pair at
     ratio^2 * d, with no rendezvous in either.  The mirror needs no check of
-    its own: every legality rule treats the two robots alike.  Any ratio > 0
-    then witnesses a fair execution that never meets: the block repeats at
-    the distances ratio^n * d > 0.  A ratio above 1 is no exception:
+    its own: every legality rule treats the two robots alike.
 
-    - a rigid block is free of scale: every destination is an affine
-      combination of the two robots' positions, so from distance s * d the
-      block runs as from d, scaled by s;
-    - under non-rigid movement the run scaled by s >= 1 is one the adversary
-      may choose: a full move always is, and a cut that moves at least delta
-      still does so at any larger scale.
+    The block then repeats at the distances ratio^n * d > 0, so a fair
+    execution never meets, when the run scaled by ratio is one the adversary
+    may choose again.  A rigid block is free of scale: every destination is
+    an affine combination of the two robots' positions, so from distance
+    s * d the block runs as from d, scaled by s.  Under non-rigid movement
+    the three cases of the ratio differ:
+
+    - ratio = 1: the block repeats exactly;
+    - ratio > 1: the run scaled by s >= 1 is one the adversary may choose: a
+      full move always is, and a cut that moves at least delta still does so
+      at any larger scale;
+    - ratio < 1: a cut travels max(delta, f * len) (`core.truncate_move`),
+      a floor that does not scale: at distance ratio^n * d the cut would
+      have to travel less than delta.  So the first replay may cut no move
+      short.  A move it does not cut is taken in full or no longer than
+      delta, and stays so at every smaller scale.
     """
     if cert.ratio <= 0:
         raise CertificateError(f"ratio {cert.ratio} is not positive")
@@ -300,16 +313,20 @@ def validate_certificate(cert: ScalingLoopCertificate) -> None:
     d0 = cert.entry_distance
     # first traversal from the entry configuration
     schedule = cert.schedule_block
-    end1 = _replay_block(cert, schedule, (c_r, c_s), d0, check=True)
+    first = _replay_block(cert, schedule, (c_r, c_s), d0, check=True)
+    end1 = first.configuration_at(first.end_time)
     want1 = (c_s, c_r) if cert.swap else (c_r, c_s)
     if end1.pair != want1 or end1.d != cert.ratio * d0:
         raise CertificateError(
             f"first replay gave {end1.pair} at {end1.d}, expected {want1} at {cert.ratio * d0}"
         )
+    if cert.movement.kind == NON_RIGID and cert.ratio < 1 and first.cuts_a_move():
+        raise CertificateError("a move cut short cannot repeat at a smaller scale")
     # second traversal closes the loop: mirrored block for a swap recurrence
     if cert.swap:
         schedule = mirror(schedule)
-    end2 = _replay_block(cert, schedule, end1.pair, end1.d, check=False)
+    second = _replay_block(cert, schedule, end1.pair, end1.d, check=False)
+    end2 = second.configuration_at(second.end_time)
     if end2.pair != (c_r, c_s):
         raise CertificateError("second replay does not restore the entry pair")
     if end2.d != cert.ratio * end1.d:
@@ -363,7 +380,7 @@ def detect_scaling_loop(trace: Trace) -> ScalingLoopCertificate | None:
     first; a distance is computed only for the cycle starts of a pair whose
     colors recur."""
     cs = trace.cs_times()
-    pairs = [(trace.light_at(0, t), trace.light_at(1, t)) for t in cs]
+    pairs = trace.cs_lights()
     distances: list[Fraction | None] = [None] * len(cs)
 
     def distance(k: int) -> Fraction:

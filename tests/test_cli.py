@@ -483,6 +483,16 @@ def _cert_with(path, change):
          "next must be a string, not 1"),
         ("graph file", {**SS3, "edges": []}, "edges must be a JSON object, not []"),
         ("graph file", [], "a graph must be a JSON object, not []"),
+        # the certificate reader reads exactly the keys that `to_json` writes
+        ("certificate", lambda c: c.update(swapp=True), "a certificate has unknown keys: swapp"),
+        ("certificate", lambda c: c.pop("ratio"), "a certificate lacks the keys: ratio"),
+        ("certificate", lambda c: c["scheduler"].pop("kind"), "scheduler lacks the keys: kind"),
+        ("certificate", lambda c: c["entry"].update(d="1/1"), "entry has unknown keys: d"),
+        ("certificate", lambda c: c.update(block={**c["block"], "horizon": 3}), "block has unknown keys: horizon"),
+        ("certificate", lambda c: c.update(block={"loop": {"period": 3, "ops": [{"dt": 1, "ops": ["LC", "-"]}]}, "horizon": 3}),
+         "block has unknown keys: horizon, loop"),
+        ("certificate", lambda c: c.update(block={"prefix": {}}), "prefix must be a JSON array, not {}"),
+        ("certificate", lambda c: c["algorithm"].update(colours=["A"]), "algorithm has unknown keys: colours"),
     ],
 )
 def test_malformed_files_are_usage_errors(tmp_path, capsys, kind, content, message):

@@ -17,6 +17,7 @@ from lumirend.schedules import (
     sim,
 )
 from lumirend.verify import Inconclusive, Rendezvous, check_rendezvous
+import reference_engine
 
 F = Fraction
 
@@ -307,7 +308,7 @@ def _forward_light(robot, t):
 
 def _forward_position(robot, t):
     pos = robot.initial_pos
-    for tb, te, start, land in robot.moves:
+    for tb, te, start, land, _cut in robot.moves:
         if t <= tb:
             return pos
         if t >= te:
@@ -329,7 +330,7 @@ def test_history_lookups_match_a_forward_scan():
                     t = F(k, 2)
                     assert robot.position_at(t) == _forward_position(robot, t)
                     assert robot.light_at(t) == _forward_light(robot, t)
-                    mid_flight += any(tb < t < te and a != b for tb, te, a, b in robot.moves)
+                    mid_flight += any(tb < t < te and a != b for tb, te, a, b, _cut in robot.moves)
     assert mid_flight > 0  # some queries land inside a displacing move: the interpolation branch
 
 
@@ -426,18 +427,21 @@ def _cs_traces():
 
 
 def test_cycle_starts_match_the_reference():
-    seen = {"split look": 0, "declared no-move": 0, "idle move": 0, "cut move": 0}
+    seen = {"split look": 0, "declared no-move": 0, "idle move": 0, "cut move": 0, "met": 0, "open at end": 0}
     for tr in _cs_traces():
+        # the walk first, on a fresh trace: it reads which cycles are open at the end itself
+        want = [t for t in sorted({0, tr.end_time, *(s.time for s in tr.steps)}) if _reference_is_cs(tr, t)]
+        assert tr.cs_times() == want, tr.to_jsonl()
+        assert tr.cs_lights() == [(tr.light_at(0, t), tr.light_at(1, t)) for t in want]
         for t in range(tr.end_time + 3):
             assert tr.is_cs(t) == _reference_is_cs(tr, t), (tr.to_jsonl(), t)
-        assert tr.cs_times() == [
-            t for t in sorted({0, tr.end_time, *(s.time for s in tr.steps)}) if _reference_is_cs(tr, t)
-        ]
+        seen["met"] += tr.rendezvous_time is not None
+        seen["open at end"] += any(r.mid_cycle(tr.graph, tr.end_time) for r in tr._robots)
         for i in ROBOTS:
             ops = [s.ops[i] for s in tr.steps if s.ops[i] != "-"]
             seen["split look"] += "COMP" in ops
             seen["declared no-move"] += any(a == "COMP" and b == "LOOK" for a, b in zip(ops, ops[1:]))
-            seen["idle move"] += any(start == land for _tb, _te, start, land in tr._robots[i].moves)
+            seen["idle move"] += any(start == land for _tb, _te, start, land, _cut in tr._robots[i].moves)
             seen["cut move"] += bool(ops) and ops[-1] == "MB" and tr.rendezvous_time is not None
     assert all(seen.values()), seen
 
@@ -556,3 +560,79 @@ def test_rendezvous_cut_matches_the_reference():
                 st.distance_after == 0 and st.time + 1 != when for st in steps
             )
     assert all(met.values()), met
+
+
+# -- the engine against the former one ------------------------------------------
+
+
+def _illegal_rows(rng, s: Schedule) -> Schedule:
+    """`s` with one robot's op at a random slot replaced by another op, a
+    known one or not."""
+    slots = list(s.prefix)
+    k, robot = rng.randrange(len(slots)), rng.choice(ROBOTS)
+    ops = list(slots[k].ops)
+    ops[robot] = rng.choice(("LC", "LOOK", "COMP", "M", "MB", "ME", "-", "X"))
+    slots[k] = Slot(slots[k].time, tuple(ops), slots[k].fractions)
+    return Schedule(tuple(slots))
+
+
+def _differential_cases():
+    fractions = [F(0), F(1, 3), F(1, 2), F(1)]
+    movements = (RIGID, MovementModel.non_rigid(F(1, 8)), MovementModel.non_rigid(F(1, 4)))
+    classes = (SchedulerClass.fsync(), SchedulerClass.ssync(), SchedulerClass.asynchronous(lc_atomic=True))
+    rng = random.Random(21)
+    for name in ("ss3", "qss4", "nonqss3", "ss5", "alg_b"):
+        g = builtin(name)
+        for movement in movements:
+            for cls in classes:
+                for s in (alt(horizon=12), sim(horizon=12)):
+                    yield g, s, ("A", "A"), 1, cls, movement
+            for _ in range(4):
+                s = random_lc_atomic_schedule(rng, 30, fractions)
+                start = (rng.choice(g.colors), rng.choice(g.colors))
+                yield g, s, start, rng.choice((0, 1, F(1, 3))), classes[2], movement
+                yield g, _illegal_rows(rng, s), start, 1, classes[2], movement
+                yield g, _illegal_rows(rng, sim(horizon=12)), start, 1, classes[rng.randrange(3)], movement
+
+
+def _outcome(run_fn, case, check, cut):
+    try:
+        return run_fn(*case, check=check, stop_at_rendezvous=cut), None
+    except Exception as exc:  # the error is compared by type and text
+        return None, (type(exc), str(exc))
+
+
+def test_the_engine_matches_the_former_engine():
+    seen = {"met": 0, "cut move": 0, "split move": 0, "illegal schedule": 0, "engine error": 0}
+    for case in _differential_cases():
+        for check in (True, False):
+            for cut in (True, False):
+                got, error = _outcome(run, case, check, cut)
+                want, want_error = _outcome(reference_engine._reference_run, case, check, cut)
+                assert error == want_error, (case, check, cut)
+                if error is not None:
+                    seen["illegal schedule" if check else "engine error"] += 1
+                    continue
+                assert got.to_jsonl() == want.to_jsonl(), (case, check, cut)
+                assert got.rendezvous_time == want.rendezvous_time
+                assert got.cs_times() == want.cs_times()
+                assert got.cs_lights() == [(want.light_at(0, t), want.light_at(1, t)) for t in want.cs_times()]
+                assert [got.is_cs(t) for t in range(-1, got.end_time + 3)] == [
+                    want.is_cs(t) for t in range(-1, want.end_time + 3)
+                ]
+                movement = case[5]
+                for i in ROBOTS:
+                    moves = got._robots[i].moves
+                    assert [m[:4] for m in moves] == want._robots[i].moves
+                    for tb, te, start, land, cut_short in moves:
+                        frac = next(s.fractions[i] for s in got.slots if s.time == tb)
+                        # a cut covers at least delta, and a move a fraction
+                        # below 1 does not cut is no longer than delta
+                        if cut_short:
+                            assert movement.kind != "rigid" and frac < 1 and abs(land - start) >= movement.delta
+                        elif frac is not None and frac < 1 and movement.kind != "rigid":
+                            assert abs(land - start) <= movement.delta
+                        seen["cut move"] += cut_short
+                        seen["split move"] += tb + 1 != te
+                seen["met"] += got.rendezvous_time is not None
+    assert all(seen.values()), seen

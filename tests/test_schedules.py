@@ -30,6 +30,7 @@ from lumirend.schedules import (
     sim,
     starved_robot,
 )
+import reference_engine
 
 
 def test_alt_structure():
@@ -353,14 +354,31 @@ def _legality_cases() -> list[Schedule]:
     return schedules
 
 
+# hand-made faults: illegal round rows (a split op, an M off its LC, a Look
+# on a move tick, a lone robot), a Look of either robot inside the other's
+# Look..Comp window or move window (twice in one), and unknown ops
+_MADE_FAULTS = (
+    [("LOOK", "LC"), ("COMP", "M")],
+    [("LC", "-"), ("-", "-"), ("M", "LC")],
+    [("LC", "LC"), ("M", "LC"), ("-", "M")],
+    [("LC", "MB"), ("M", "ME")],
+    [("LOOK", "-"), ("-", "LOOK"), ("COMP", "-"), ("-", "COMP")],
+    [("-", "LOOK"), ("LC", "-"), ("-", "-"), ("-", "COMP")],
+    [("LC", "-"), ("MB", "-"), ("-", "LC"), ("-", "M"), ("-", "LC"), ("ME", "-")],
+    [("LC", "LC"), ("M", "MB"), ("LOOK", "-"), ("COMP", "ME")],
+    [("X", "LC"), ("LC", "Y"), ("-", "lc")],
+)
+
+
 def test_check_legal_matches_the_reference():
-    schedules = _legality_cases()
+    made = [Schedule(block(rows)) for rows in _MADE_FAULTS]
+    schedules = _legality_cases() + made + [mirror(s) for s in made]
     round_rules = ("not allowed under", "not adjacent to its LC", "coincides with a move tick", "both robots")
     seen = set()
     for s in schedules:
         for cls in ALL_CLASSES:
             got = check_legal(s, cls)
-            assert got == _reference_check_legal(s, cls), (s.to_json(), cls)
+            assert got == _reference_check_legal(s, cls) == reference_engine.check_legal(s, cls), (s.to_json(), cls)
             seen.update(v.kind for v in got)
             seen.update(rule for v in got for rule in round_rules if rule in v.message)
     # every kind of violation occurs, and so does each round-structure rule

@@ -611,6 +611,78 @@ def test_expanding_non_rigid_loop_needs_cuts_that_scale():
 
 
 
+def _repeat_holds(cert, n) -> bool:
+    """Whether the block, repeated n times (mirrored in every other
+    repetition of a swap recurrence), runs without meeting and ends each
+    repetition at a cycle start with the claimed pair and distance."""
+    span = cert.schedule_block.prefix[-1].time
+    slots, ends, blk = [], [], cert.schedule_block
+    for k in range(n):
+        slots += [Slot(s.time + k * span, s.ops, s.fractions) for s in blk.prefix]
+        ends.append((k + 1) * span + 1)
+        if cert.swap:
+            blk = schedules.mirror(blk)
+    tr = run(cert.graph, Schedule(tuple(slots)), cert.entry_colors, cert.entry_distance,
+             cert.scheduler, cert.movement)
+    pair = cert.entry_colors
+    for k, end in enumerate(ends, 1):
+        if cert.swap:
+            pair = pair[::-1]
+        if tr.rendezvous_time is not None or not tr.is_cs(end) or tr.configuration_at(end) != (
+            engine.ConfigurationView(*pair, cert.ratio**k * cert.entry_distance)
+        ):
+            return False
+    return True
+
+
+def test_a_shrinking_non_rigid_block_may_cut_no_move():
+    # a cut travels at least delta whatever the distance, so a block with
+    # ratio 1/2 that cuts a move runs only until the distance is too small
+    g = LightGraph.build("ABC", {"A": ("A", "1/2"), "B": ("C", 0), "C": ("C", "1/2")})
+    half = F(1, 2)
+    blk = Schedule((
+        Slot(1, ("-", "LC")), Slot(2, ("LC", "MB"), (None, half)), Slot(3, ("MB", "-"), (half, None)),
+        Slot(4, ("-", "ME")), Slot(5, ("ME", "-")),
+    ))
+    cert = ScalingLoopCertificate(g, LC, MovementModel.non_rigid(F(1, 16)), ("C", "C"), F(1), blk, half, False)
+    first = run(g, blk, ("C", "C"), 1, LC, cert.movement)
+    assert first.cuts_a_move() and first.configuration_at(6).d == half
+    assert not _repeat_holds(cert, 4)
+    with pytest.raises(CertificateError, match="^a move cut short cannot repeat at a smaller scale$"):
+        validate_certificate(cert)
+
+
+def test_split_move_certificates_hold_when_repeated(monkeypatch):
+    # seeded split-move runs of the paper's algorithms: every certificate of
+    # ratio <= 1 that detection returns still holds over 8 repetitions
+    reasons = []
+
+    def recording(cert):
+        try:
+            validate(cert)
+        except CertificateError as exc:
+            reasons.append(str(exc))
+            raise
+
+    validate = verify.validate_certificate
+    monkeypatch.setattr(verify, "validate_certificate", recording)
+    rng = random.Random(3)
+    fractions = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
+    found = {"rigid": 0, "non-rigid": 0}
+    for k in range(240):
+        name = ("qss4", "ss5")[k % 2]
+        g = builtin(name)
+        start = (rng.choice(g.colors), rng.choice(g.colors))
+        s = random_lc_atomic_schedule(rng, 80, fractions)
+        for movement in (RIGID, MovementModel.non_rigid((F(1, 4), F(1, 16), F(1, 64))[k % 3])):
+            cert = detect_scaling_loop(run(g, s, start, 1, LC, movement))
+            if cert is not None:
+                assert cert.ratio <= 1 and _repeat_holds(cert, 8), cert.to_json()
+                found[movement.kind] += 1
+    # a certificate is found, and the rule rejects shrinking blocks on the way
+    assert found["rigid"] and "a move cut short cannot repeat at a smaller scale" in reasons, found
+
+
 def test_fair_loop_without_a_clean_entry_keeps_its_reason(monkeypatch):
     # no graph searched in the tests has a fair SCC without a clean member,
     # so the search is handed one: the non-rendezvous states with a move
