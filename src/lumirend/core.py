@@ -149,13 +149,14 @@ class LightGraph:
     @staticmethod
     def from_json_dict(data: dict) -> "LightGraph":
         """Read a graph file: `"colors"`, a list of distinct strings, and
-        `"edges"`, an object of `{"next": color, "lambda": "p/q"}` objects."""
-        colors = json_value(data, dict, "a graph")["colors"]
+        `"edges"`, an object of `{"next": color, "lambda": "p/q"}` objects.
+        A key that is missing or that the format lacks is an error naming it."""
+        colors = json_object(data, "a graph", ("colors", "edges"))["colors"]
         if not (isinstance(colors, list) and all(isinstance(c, str) for c in colors)):
             raise ValueError(f"colors must be a list of strings, not {colors!r}")
         edges = {}
         for src, entry in json_value(data["edges"], dict, "edges").items():
-            json_value(entry, dict, f"the edge of {src}")
+            json_object(entry, f"the edge of {src}", ("next", "lambda"))
             edges[src] = (json_value(entry["next"], str, "next"), rational_text(entry["lambda"]))
         return LightGraph.build(colors, edges)
 

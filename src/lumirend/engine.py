@@ -376,10 +376,9 @@ class Simulation:
         self.g = g
         self.scheduler = scheduler
         self.movement = movement
+        starts = [p if isinstance(p, Fraction) else Fraction(p) for p in positions]
         self.robots = [
-            _Robot(light_writes=[(-1, lights[i])], moves=[], initial_pos=Fraction(positions[i]),
-                   pos=Fraction(positions[i]))
-            for i in ROBOTS
+            _Robot(light_writes=[(-1, lights[i])], moves=[], initial_pos=starts[i], pos=starts[i]) for i in ROBOTS
         ]
         self.now = -1  # the time of the latest step
 
@@ -450,8 +449,15 @@ class Simulation:
                 raise EngineError(f"robot {i}: MB at t={t} without a later ME")
             pos, dest = r.pos, r.pending
             # a full move lands on its destination under either movement model
-            land = dest if frac is None else truncate_move(pos, dest, self.movement, frac)
-            r.moves.append((t, te, pos, land, land != dest))
+            if frac is None or frac == 1:
+                land, cut = dest, False
+            else:
+                try:
+                    land = truncate_move(pos, dest, self.movement, frac)
+                except ValueError as exc:
+                    raise EngineError(f"robot {i}: {op} at t={t}: {exc}") from None
+                cut = land != dest
+            r.moves.append((t, te, pos, land, cut))
             r.pos = land
             if land != pos:
                 # in flight up to the instant before the move ends
@@ -516,7 +522,7 @@ def run(
         if violations:
             raise IllegalSchedule(violations)
     if positions is None:
-        positions = (Fraction(0), start_distance(initial_distance))
+        positions = (_ORIGIN, start_distance(initial_distance))
     simstate = Simulation(g, scheduler, movement, list(initial_colors), positions)
     r0, r1 = simstate.robots
     slots = list(schedule.prefix)
@@ -537,3 +543,4 @@ def run(
 
 
 _NO_ENDS = (None, None)
+_ORIGIN = Fraction(0)

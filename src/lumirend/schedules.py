@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import FSYNC, SSYNC, SchedulerClass, format_rational, json_value, rational_text
+from .core import FSYNC, SSYNC, SchedulerClass, format_rational, json_object, json_value, rational_text
 
 OP_LOOK = "LOOK"
 OP_COMP = "COMP"
@@ -67,8 +67,9 @@ class Schedule:
     def from_json_dict(data: dict, horizon: int | None = None) -> "Schedule":
         """Read a schedule file: its `"prefix"` slots, then its `"loop"` block
         (slots at offsets `"dt"` in 1..`"period"`) repeated after the prefix,
-        all cut at `horizon`, or at the file's own `"horizon"` if none is given."""
-        json_value(data, dict, "a schedule")
+        all cut at `horizon`, or at the file's own `"horizon"` if none is given.
+        A key that is missing or that the format lacks is an error naming it."""
+        json_object(data, "a schedule", (), ("prefix", "loop", "horizon"))
         if horizon is None:
             horizon = data.get("horizon")
         if horizon is not None:
@@ -76,10 +77,11 @@ class Schedule:
         slots = [_read_slot(e, "t") for e in data.get("prefix", [])]
         base = _last_time(slots, "prefix times")
         if data.get("loop"):
-            period = json_value(json_value(data["loop"], dict, "a loop")["period"], int, "period")
+            loop_data = json_object(data["loop"], "a loop", ("period", "ops"))
+            period = json_value(loop_data["period"], int, "period")
             if period < 1:
                 raise ValueError("the loop period must be at least 1")
-            loop = [_read_slot(e, "dt") for e in data["loop"]["ops"]]
+            loop = [_read_slot(e, "dt") for e in loop_data["ops"]]
             if _last_time(loop, "loop offsets") > period:
                 raise ValueError("loop offsets exceed the period")
             if horizon is None:
@@ -110,7 +112,7 @@ def _last_time(slots, what: str) -> int:
 
 def _read_slot(entry: dict, key: str) -> Slot:
     """One slot of a schedule file, timed by its `key` ("t" or "dt")."""
-    ops = json_value(entry, dict, "a slot")["ops"]
+    ops = json_object(entry, "a slot", (key, "ops"), ("fractions",))["ops"]
     fractions = entry.get("fractions", [None, None])
     if not (isinstance(ops, list) and len(ops) == 2 and all(isinstance(op, str) for op in ops)):
         raise ValueError(f"ops must be two op names, not {ops!r}")

@@ -4,7 +4,9 @@ adversary-game search, and structural lower-bound checks.
 A Diverges verdict is never bare: it carries a scaling-loop certificate, a
 replayable schedule block under which a color pair recurs (possibly with the
 robots' roles swapped) while the distance is multiplied by a fixed rational
-ratio.  Certificates are re-validated by replay before being returned.
+ratio.  Certificates are re-validated by replay before being returned:
+two replays of the block, or one when it restores the entry pair unswapped
+at ratio 1, since a second replay would then run the first one again.
 
 The adversary search explores the capped game fragment: at each integer time
 the adversary activates one robot, the other, or both, and picks a move
@@ -77,7 +79,6 @@ from .schedules import (
     ALT_ROWS,
     LOOK_OPS,
     OP_LC,
-    OP_LOOK,
     OP_M,
     OP_NONE,
     ROBOTS,
@@ -276,15 +277,20 @@ def _replay_block(cert: ScalingLoopCertificate, schedule: Schedule, colors, dist
 
 
 def validate_certificate(cert: ScalingLoopCertificate) -> None:
-    """Replay the block twice through the engine and check the recurrence it
-    claims; raises CertificateError if any obligation fails.
+    """Replay the block through the engine, twice unless the second replay
+    would repeat the first, and check the recurrence it claims; raises
+    CertificateError if any obligation fails, also when the engine rejects
+    the block.
 
     The first replay, from the entry colors at the entry distance d, checks
     the block's legality and must end at a clean cycle start (`Trace.is_cs`)
     with the recurring pair at distance ratio * d; the second, of the block
     (mirrored for a swap) from there, must restore the entry pair at
     ratio^2 * d, with no rendezvous in either.  The mirror needs no check of
-    its own: every legality rule treats the two robots alike.
+    its own: every legality rule treats the two robots alike.  With ratio 1
+    and no swap the second replay is the first one again: the same block
+    from the same colors at the same distance, and a run is deterministic.
+    So it would pass as the first did, and it is not run.
 
     The block then repeats at the distances ratio^n * d > 0, so a fair
     execution never meets, when the run scaled by ratio is one the adversary
@@ -322,6 +328,8 @@ def validate_certificate(cert: ScalingLoopCertificate) -> None:
         )
     if cert.movement.kind == NON_RIGID and cert.ratio < 1 and first.cuts_a_move():
         raise CertificateError("a move cut short cannot repeat at a smaller scale")
+    if cert.ratio == 1 and not cert.swap:
+        return
     # second traversal closes the loop: mirrored block for a swap recurrence
     if cert.swap:
         schedule = mirror(schedule)
@@ -1153,101 +1161,3 @@ def missing_label_adversary(
     schedule = Schedule(prefix=tuple(Slot(t, ops) for t, ops in enumerate(rows, 1)))
     trace = run(g, schedule, (start, start), distance, SchedulerClass.ssync(), MovementModel.rigid())
     return Schedule(prefix=tuple(trace.slots)), trace, detect_scaling_loop(trace)
-
-
-# ---------------------------------------------------------------------------
-# Structural trace properties
-
-
-def stationary_pairs(g: LightGraph) -> set[tuple[str, str]]:
-    """Ordered pairs (alpha, beta) such that a robot showing beta freezes
-    while its partner shows alpha: observing alpha rewrites beta to itself
-    with no movement."""
-    out = set()
-    for alpha in g.colors:
-        target, lam = transition(g, alpha)
-        if lam == 0:
-            out.add((alpha, target))
-    return out
-
-
-def check_stationary_partner(trace: Trace) -> list[tuple]:
-    """Violations of the frozen-partner property: at any cycle start with an
-    ordered pair (alpha, beta) from `stationary_pairs`, the beta robot must
-    keep its color and position until the alpha robot's next Look."""
-    g = trace.graph
-    frozen = stationary_pairs(g)
-    bad = []
-    for t in trace.cs_times():
-        for mover, holder in ((0, 1), (1, 0)):
-            pair = (trace.light_at(mover, t), trace.light_at(holder, t))
-            if pair not in frozen:
-                continue
-            until = trace.next_op(mover, OP_LOOK, t)
-            if until is None:
-                until = trace.end_time
-            for u in range(t, until + 1):
-                if (
-                    trace.light_at(holder, u) != pair[1]
-                    or trace.position_at(holder, u) != trace.position_at(holder, t)
-                ):
-                    bad.append((t, u, holder))
-                    break
-    return bad
-
-
-def check_contraction_pattern(trace: Trace) -> tuple[bool, tuple]:
-    """From the first cycle start showing the unordered pair {B, C}: some
-    later cycle start must reach distance zero, or shrink the distance by at
-    least delta while showing one of the two successor pairs."""
-    g = trace.graph
-    delta = trace.movement.delta if trace.movement.kind == NON_RIGID else Fraction(0)
-    rho, _lam = transition(g, "C")
-    allowed = {frozenset((rho, "C")), frozenset((rho, transition(g, rho)[0]))}
-    cs = trace.cs_times()
-    entry = None
-    for t in cs:
-        if frozenset((trace.light_at(0, t), trace.light_at(1, t))) == frozenset(("B", "C")):
-            entry = t
-            break
-    if entry is None:
-        return True, ()
-    d0 = trace.distance_at(entry)
-    for t in cs:
-        if t <= entry:
-            continue
-        d = trace.distance_at(t)
-        pair = frozenset((trace.light_at(0, t), trace.light_at(1, t)))
-        if d == 0:
-            return True, (entry, t)
-        if d <= d0 - delta and pair in allowed:
-            return True, (entry, t)
-    return False, (entry,)
-
-
-def check_synchronous_contraction(trace: Trace) -> list[tuple]:
-    """Under simultaneous rounds, every round in which both robots observe the
-    halving label must shrink the distance: to zero under rigid movement, by
-    at least two delta (or to zero) otherwise.  Rounds are the slots where
-    both robots perform LC at once; their effects land two ticks later."""
-    g = trace.graph
-    bad = []
-    for slot in trace.slots:
-        if slot.ops != (OP_LC, OP_LC):
-            continue
-        t = slot.time
-        pair = (trace.light_at(0, t), trace.light_at(1, t))
-        if pair[0] != pair[1]:
-            continue
-        _next, lam = transition(g, pair[0])
-        if lam != Fraction(1, 2):
-            continue
-        d0, d1 = trace.distance_at(t), trace.distance_at(t + 2)
-        if trace.movement.kind == RIGID:
-            if d1 != 0:
-                bad.append((t, d0, d1))
-        else:
-            delta = trace.movement.delta
-            if d1 != 0 and d1 > d0 - 2 * delta:
-                bad.append((t, d0, d1))
-    return bad

@@ -4,6 +4,10 @@ the histories and legality from one pass over the slots.  A robot's state at
 t is a bisect over its histories, and `check_legal` reads per-robot lists,
 one window scan per robot and kind, and the rounds.  Kept as the reference of
 the differential tests; `_reference_run` is the former `engine.run`.
+
+`validate_certificate_twice` is `verify.validate_certificate` as it was
+before a block that restores its entry pair unswapped at ratio 1 was
+replayed once: it replays every block twice, through the present engine.
 """
 
 from __future__ import annotations
@@ -16,8 +20,10 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Sequence
 
+from lumirend import engine
 from lumirend.core import (
     FSYNC,
+    NON_RIGID,
     SSYNC,
     LightGraph,
     MovementModel,
@@ -54,7 +60,10 @@ from lumirend.schedules import (
     Schedule,
     Slot,
     Violation,
+    mirror,
+    starved_robot,
 )
+from lumirend.verify import CertificateError
 
 def destination(me: Fraction, other: Fraction, lam: Fraction) -> Fraction:
     """`core.destination` as it was, in three `Fraction` operations."""
@@ -495,3 +504,48 @@ def _reference_run(
         if stop_at_rendezvous and met(t + 1):
             return Trace(g, scheduler, movement, simstate.robots, slots[: k + 1], t + 1)
     return Trace(g, scheduler, movement, simstate.robots, slots, None)
+
+
+def _replay_twice_block(cert, schedule, colors, distance, check):
+    try:
+        trace = engine.run(cert.graph, schedule, colors, distance, cert.scheduler, cert.movement, check=check)
+    except EngineError as exc:
+        raise CertificateError(f"the engine rejects the block: {exc}") from exc
+    if trace.rendezvous_time is not None:
+        raise CertificateError("block reaches rendezvous; not a divergence witness")
+    if not trace.is_cs(trace.end_time):
+        raise CertificateError("block does not end at a clean cycle start")
+    return trace
+
+
+def validate_certificate_twice(cert) -> None:
+    """Replay the block twice, whatever the ratio and swap, with the checks
+    and error texts of `verify.validate_certificate`."""
+    if cert.ratio <= 0:
+        raise CertificateError(f"ratio {cert.ratio} is not positive")
+    if cert.entry_distance <= 0:
+        raise CertificateError("entry distance must be positive")
+    if starved_robot(cert.schedule_block.prefix) is not None:
+        raise CertificateError("block is unfair: a robot completes no cycle")
+    c_r, c_s = cert.entry_colors
+    d0 = cert.entry_distance
+    schedule = cert.schedule_block
+    first = _replay_twice_block(cert, schedule, (c_r, c_s), d0, check=True)
+    end1 = first.configuration_at(first.end_time)
+    want1 = (c_s, c_r) if cert.swap else (c_r, c_s)
+    if end1.pair != want1 or end1.d != cert.ratio * d0:
+        raise CertificateError(
+            f"first replay gave {end1.pair} at {end1.d}, expected {want1} at {cert.ratio * d0}"
+        )
+    if cert.movement.kind == NON_RIGID and cert.ratio < 1 and first.cuts_a_move():
+        raise CertificateError("a move cut short cannot repeat at a smaller scale")
+    if cert.swap:
+        schedule = mirror(schedule)
+    second = _replay_twice_block(cert, schedule, end1.pair, end1.d, check=False)
+    end2 = second.configuration_at(second.end_time)
+    if end2.pair != (c_r, c_s):
+        raise CertificateError("second replay does not restore the entry pair")
+    if end2.d != cert.ratio * end1.d:
+        raise CertificateError(
+            f"second replay gave distance {end2.d}, expected {cert.ratio * end1.d}"
+        )

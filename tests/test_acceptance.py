@@ -22,10 +22,7 @@ from lumirend.verify import (
     Diverges,
     Rendezvous,
     SearchConfig,
-    check_contraction_pattern,
     check_rendezvous,
-    check_stationary_partner,
-    check_synchronous_contraction,
     missing_label_adversary,
     reachable_cs_color_pairs,
     replay_paper_counterexample,
@@ -33,6 +30,7 @@ from lumirend.verify import (
     structural_check,
     validate_certificate,
 )
+from trace_properties import check_contraction_pattern, check_stationary_partner, check_synchronous_contraction
 
 F = Fraction
 LCMV = SchedulerClass.asynchronous(lc_atomic=True, move_atomic=True)

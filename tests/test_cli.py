@@ -493,6 +493,26 @@ def _cert_with(path, change):
          "block has unknown keys: horizon, loop"),
         ("certificate", lambda c: c.update(block={"prefix": {}}), "prefix must be a JSON array, not {}"),
         ("certificate", lambda c: c["algorithm"].update(colours=["A"]), "algorithm has unknown keys: colours"),
+        # schedule and graph files read exactly the keys of their formats too
+        ("schedule", {"prefix": [{"t": 1, "ops": ["LC", "LC"]}, {"t": 2, "ops": ["M", "M"], "fraction": ["0/1", "0/1"]}]},
+         "a slot has unknown keys: fraction"),
+        ("schedule", {"prefix": [{"ops": ["LC", "-"]}]}, "a slot lacks the keys: t"),
+        ("schedule", {"prefix": [], "horizn": 8}, "a schedule has unknown keys: horizn"),
+        ("schedule", {"loop": {"period": 2, "ops": [], "offset": 1}, "horizon": 4}, "a loop has unknown keys: offset"),
+        ("schedule", {"loop": {"period": 2}, "horizon": 4}, "a loop lacks the keys: ops"),
+        ("graph file", {**SS3, "colours": ["A", "B", "C"]}, "a graph has unknown keys: colours"),
+        ("graph file", {**SS3, "edges": {**SS3["edges"], "A": {**SS3["edges"]["A"], "weight": "1/2"}}},
+         "the edge of A has unknown keys: weight"),
+        ("graph file", {**SS3, "edges": {**SS3["edges"], "A": {"next": "B"}}}, "the edge of A lacks the keys: lambda"),
+        ("certificate", lambda c: c["algorithm"]["edges"]["A"].update(weight="1/2"),
+         "the edge of A has unknown keys: weight"),
+        ("certificate", lambda c: c["block"]["prefix"][0].update(fraction=[None, None]),
+         "a slot has unknown keys: fraction"),
+        # a move fraction outside [0, 1] is a block the engine rejects
+        ("certificate", lambda c: c["block"]["prefix"][2].update(fractions=["2/1", None]),
+         "the engine rejects the block: robot 0: M at t=3: adversary fraction must lie in [0, 1]"),
+        ("schedule", {"prefix": [{"t": 1, "ops": ["LC", "LC"]}, {"t": 2, "ops": ["M", "M"], "fractions": [None, "-1/2"]}]},
+         "robot 1: M at t=2: adversary fraction must lie in [0, 1]"),
     ],
 )
 def test_malformed_files_are_usage_errors(tmp_path, capsys, kind, content, message):

@@ -130,6 +130,13 @@ def test_truncate_move_examples(me, dest, model, fraction, expected):
     assert truncate_move(me, dest, model, fraction) == expected
 
 
+@pytest.mark.parametrize("model", [MovementModel.rigid(), MovementModel.non_rigid(F(1, 4))])
+@pytest.mark.parametrize("fraction", [F(-1, 2), F(3, 2)])
+def test_truncate_move_rejects_a_fraction_outside_0_1(model, fraction):
+    with pytest.raises(ValueError, match=r"adversary fraction must lie in \[0, 1\]"):
+        truncate_move(F(0), F(1), model, fraction)
+
+
 @given(me=rationals, dest=rationals, fraction=unit_fractions, delta=st.fractions(min_value="1/64", max_value=2, max_denominator=64))
 def test_truncate_move_stays_on_segment(me, dest, fraction, delta):
     stop = truncate_move(me, dest, MovementModel.non_rigid(delta), fraction)

@@ -5,7 +5,7 @@ import pytest
 
 from lumirend.algorithms import builtin, enumerate_graphs
 from lumirend.core import LightGraph, MovementModel, SchedulerClass, destination, transition
-from lumirend.engine import IDLE, IllegalOp, Simulation, TraceStep, run
+from lumirend.engine import IDLE, EngineError, IllegalOp, Simulation, TraceStep, run
 from lumirend.schedules import (
     Schedule,
     Slot,
@@ -562,6 +562,19 @@ def test_rendezvous_cut_matches_the_reference():
     assert all(met.values()), met
 
 
+@pytest.mark.parametrize("movement", [RIGID, MovementModel.non_rigid(F(1, 4))])
+def test_a_move_fraction_outside_0_1_is_an_engine_error(movement):
+    # the engine names the robot, op and time of the move it cannot run
+    for fractions, message in (
+        ((F(2), None), "robot 0: M at t=2: adversary fraction must lie in [0, 1]"),
+        ((None, F(-1, 2)), "robot 1: M at t=2: adversary fraction must lie in [0, 1]"),
+    ):
+        s = Schedule(block([("LC", "LC"), ("M", "M")], [(None, None), fractions]))
+        with pytest.raises(EngineError) as rejected:
+            run(builtin("ss3"), s, ("A", "A"), 1, SchedulerClass.ssync(), movement)
+        assert str(rejected.value) == message
+
+
 # -- the engine against the former one ------------------------------------------
 
 
@@ -593,6 +606,12 @@ def _differential_cases():
                 yield g, s, start, rng.choice((0, 1, F(1, 3))), classes[2], movement
                 yield g, _illegal_rows(rng, s), start, 1, classes[2], movement
                 yield g, _illegal_rows(rng, sim(horizon=12)), start, 1, classes[rng.randrange(3)], movement
+                # start positions given as ints, or as an int and a Fraction
+                positions = (rng.randint(-2, 2), rng.choice((rng.randint(-2, 2), F(rng.randint(-7, 7), 3))))
+                yield g, s, start, 1, classes[2], movement, positions
+            # every move in full, most of them longer than delta
+            s = random_lc_atomic_schedule(rng, 30, [F(1)])
+            yield g, s, (rng.choice(g.colors), rng.choice(g.colors)), 3, classes[2], movement
 
 
 def _outcome(run_fn, case, check, cut):
@@ -603,7 +622,10 @@ def _outcome(run_fn, case, check, cut):
 
 
 def test_the_engine_matches_the_former_engine():
-    seen = {"met": 0, "cut move": 0, "split move": 0, "illegal schedule": 0, "engine error": 0}
+    seen = {
+        "met": 0, "cut move": 0, "split move": 0, "illegal schedule": 0, "engine error": 0,
+        "int positions": 0, "full fraction on a move longer than delta": 0,
+    }
     for case in _differential_cases():
         for check in (True, False):
             for cut in (True, False):
@@ -632,7 +654,10 @@ def test_the_engine_matches_the_former_engine():
                             assert movement.kind != "rigid" and frac < 1 and abs(land - start) >= movement.delta
                         elif frac is not None and frac < 1 and movement.kind != "rigid":
                             assert abs(land - start) <= movement.delta
+                        elif frac == 1 and movement.kind != "rigid":
+                            seen["full fraction on a move longer than delta"] += abs(land - start) > movement.delta
                         seen["cut move"] += cut_short
                         seen["split move"] += tb + 1 != te
                 seen["met"] += got.rendezvous_time is not None
+                seen["int positions"] += len(case) > 6 and isinstance(case[6][0], int)
     assert all(seen.values()), seen

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import random
 from fractions import Fraction
@@ -23,6 +24,7 @@ from lumirend.core import (
 )
 from lumirend.engine import IllegalSchedule, run
 from lumirend.schedules import (
+    ROBOTS,
     Schedule,
     Slot,
     block,
@@ -46,10 +48,7 @@ from lumirend.verify import (
     _search_children,
     _step,
     _timed,
-    check_contraction_pattern,
     check_rendezvous,
-    check_stationary_partner,
-    check_synchronous_contraction,
     classify_stabilization,
     counterexample_names,
     detect_scaling_loop,
@@ -57,10 +56,16 @@ from lumirend.verify import (
     reachable_cs_color_pairs,
     replay_paper_counterexample,
     search_one,
-    stationary_pairs,
     structural_check,
     validate_certificate,
 )
+from trace_properties import (
+    check_contraction_pattern,
+    check_stationary_partner,
+    check_synchronous_contraction,
+    stationary_pairs,
+)
+import reference_engine
 
 F = Fraction
 LCMV = SchedulerClass.asynchronous(lc_atomic=True, move_atomic=True)
@@ -239,21 +244,26 @@ def _assert_json_matches_the_reference(cert):
     assert again == cert and again.to_json() == text
 
 
-def test_certificate_json_matches_the_reference_on_the_sweeps():
-    # criterion 08's 2187 searches, and a sample of criterion 07's adversaries
-    halves = (F(0), F(1, 2), F(1))
+@functools.cache
+def _survey_certificates() -> tuple[ScalingLoopCertificate, ...]:
+    """The certificates of criterion 08's 2187 searches."""
     cfg = SearchConfig(40, LCMV, RIGID)
-    graphs = list(enumerate_graphs(3, halves))
     certs = []
-    for g in graphs:
+    for g in enumerate_graphs(3, (F(0), F(1, 2), F(1))):
         for c in g.colors:
             verdict = search_one(g, cfg, (c, c), 1)
             if verdict.kind == "diverges":
                 certs.append(verdict.certificate)
     assert len(certs) == 2175
+    return tuple(certs)
+
+
+def test_certificate_json_matches_the_reference_on_the_sweeps():
+    # criterion 08's 2187 searches, and a sample of criterion 07's adversaries
+    certs = list(_survey_certificates())
     jobs = [
         (g, start, lam)
-        for g in graphs
+        for g in enumerate_graphs(3, (F(0), F(1, 2), F(1)))
         for start, labels in structural_check(g).per_start_missing.items()
         for lam in labels
     ]
@@ -333,6 +343,116 @@ def test_validation_rejects_an_illegal_block_as_the_engine_does():
     with pytest.raises(CertificateError) as rejected:
         validate_certificate(dataclasses.replace(cert, schedule_block=Schedule(blk)))
     assert str(rejected.value) == f"the engine rejects the block: {engine.value}"
+
+
+def test_validation_rejects_a_fraction_outside_0_1_as_the_engine_does():
+    cert = replay_paper_counterexample("lemma9_3", F(1, 2)).verdict.certificate
+    slots = list(cert.schedule_block.prefix)
+    assert slots[2].ops == ("M", "-")
+    for fraction in (F(2), F(-1, 2)):
+        slots[2] = Slot(3, ("M", "-"), (fraction, None))
+        with pytest.raises(CertificateError) as rejected:
+            validate_certificate(dataclasses.replace(cert, schedule_block=Schedule(tuple(slots))))
+        assert str(rejected.value) == (
+            "the engine rejects the block: robot 0: M at t=3: adversary fraction must lie in [0, 1]"
+        )
+
+
+# from (A, B), a round in which both robots look and compute swaps their
+# colors and moves neither
+SWAPPING = LightGraph.build("AB", {"A": ("A", 0), "B": ("B", 0)})
+
+
+def _count_replays(monkeypatch) -> list:
+    calls = []
+    replay = verify.run
+
+    def counting(g, schedule, *args, **kwargs):
+        calls.append(schedule)
+        return replay(g, schedule, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "run", counting)
+    return calls
+
+
+def test_only_a_block_back_at_its_entry_unswapped_at_ratio_1_is_replayed_once(monkeypatch):
+    rounds = [("LC", "LC"), ("LC", "LC")]
+    ssync = SchedulerClass.ssync()
+    cases = [
+        (next(c for c in _survey_certificates() if c.ratio == 1), 1),
+        (ScalingLoopCertificate(SWAPPING, ssync, NR4, ("A", "B"), F(1), Schedule(block(rounds)), F(1), False), 1),
+        # a swap at ratio 1, a swap at ratio 1/4, a ratio of 1/4 without one
+        (ScalingLoopCertificate(SWAPPING, ssync, RIGID, ("A", "B"), F(1), Schedule(block(rounds[:1])), F(1), True), 2),
+        (replay_paper_counterexample("lemma6_alg_a").verdict.certificate, 2),
+        (replay_paper_counterexample("lemma9_1", F(1, 2)).verdict.certificate, 2),
+        # non-rigid, ratio 3/2
+        (ScalingLoopCertificate(
+            EXPANDING, ssync, NR4, ("A", "A"), F(1),
+            Schedule(block([("LC", "LC"), ("M", "M")], [(None, None), (F(1, 2), F(1, 2))])), F(3, 2), False,
+        ), 2),
+    ]
+    calls = _count_replays(monkeypatch)
+    for cert, replays in cases:
+        calls.clear()
+        validate_certificate(cert)
+        blk = cert.schedule_block
+        assert calls == [blk, schedules.mirror(blk) if cert.swap else blk][:replays], cert
+
+
+def _mutants(cert: ScalingLoopCertificate, rng: random.Random):
+    """`cert` with one part changed: the ratio, the entry distance, the entry
+    colors, the swap flag, one op, and one move fraction."""
+    replace = dataclasses.replace
+    slots = list(cert.schedule_block.prefix)
+    k, robot = rng.randrange(len(slots)), rng.choice(ROBOTS)
+
+    def one_changed(slot_part: int, value) -> Schedule:
+        parts = [list(slots[k].ops), list(slots[k].fractions)]
+        parts[slot_part][robot] = value
+        changed = slots[:k] + [Slot(slots[k].time, tuple(parts[0]), tuple(parts[1]))] + slots[k + 1 :]
+        return Schedule(tuple(changed))
+
+    yield replace(cert, ratio=rng.choice((F(1), F(1, 2), F(1, 4), F(2), cert.ratio * 2)))
+    yield replace(cert, entry_distance=cert.entry_distance * rng.choice((F(1, 3), F(2), F(5))))
+    yield replace(cert, entry_colors=(rng.choice(cert.graph.colors), rng.choice(cert.graph.colors)))
+    yield replace(cert, swap=not cert.swap)
+    yield replace(cert, schedule_block=one_changed(0, rng.choice(("LC", "LOOK", "COMP", "M", "MB", "ME", "-"))))
+    yield replace(cert, schedule_block=one_changed(1, rng.choice((None, F(0), F(1, 2), F(1), F(2), F(-1, 2)))))
+
+
+def _validation_outcome(validate, cert):
+    try:
+        validate(cert)
+    except Exception as exc:  # the rejection is compared by type and text
+        return type(exc), str(exc)
+    return None
+
+
+def test_validation_agrees_with_two_replays_on_the_survey_and_mutants():
+    # a rigid block runs alike at any scale, so no survey certificate or
+    # mutant fails in the second replay; of the two non-rigid blocks here,
+    # the one that cuts its moves to delta does
+    made = [
+        ScalingLoopCertificate(
+            EXPANDING, SchedulerClass.ssync(), NR4, ("A", "A"), F(1),
+            Schedule(block([("LC", "LC"), ("M", "M")], [(None, None), (fraction, fraction)])), F(3, 2), False,
+        )
+        for fraction in (F(0), F(1, 2))
+    ]
+    rng = random.Random(22)
+    seen = {"accepted at ratio 1": 0, "accepted otherwise": 0, "first replay": 0, "second replay": 0, "engine": 0}
+    for cert in (*_survey_certificates(), *made):
+        for case in (cert, *_mutants(cert, rng)):
+            got = _validation_outcome(validate_certificate, case)
+            assert got == _validation_outcome(reference_engine.validate_certificate_twice, case), case
+            if got is None:
+                seen["accepted at ratio 1" if case.ratio == 1 and not case.swap else "accepted otherwise"] += 1
+            else:
+                reason = got[1]
+                kind = next((k for k in ("first replay", "second replay", "engine") if k in reason), None)
+                if kind is not None:
+                    seen[kind] += 1
+    assert all(seen.values()), seen
 
 
 def _count_trace_rows(monkeypatch) -> list:
