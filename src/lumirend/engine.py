@@ -23,11 +23,14 @@ A trace stores what the run did, not a snapshot per instant: the slots it
 executed (cut at rendezvous) and each robot's append-only histories of light
 writes and moves.  Step times strictly increase, so every write and move so
 far was made before a step's instant: a step reads each robot's present
-light and position from the newest history entries, and the run tests for a
-meeting the same way.  A query about an earlier instant bisects the
-histories.  The trace rows (`TraceStep`, the state effective at t+1 after
-each executed slot) are derived from them on first read, and the cycle
-starts with their color pairs come from one walk over the histories.
+light and position from the newest history entries.  The run tests for a
+meeting the same way: it compares the positions after a slot that moves a
+robot (an M or MB), and asks whether a robot is still committed to a move
+after every slot in which they agree.  A query about an earlier instant
+bisects the histories.  The trace rows (`TraceStep`, the state effective
+at t+1 after each executed slot) are derived from them on first read, and
+the cycle starts with their color pairs come from one walk over the
+histories.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from math import inf
+from operator import itemgetter
 from typing import Sequence
 
 from .core import (
@@ -229,39 +233,26 @@ class Trace:
         """Whether the adversary stopped some move short of its destination."""
         return any(move[4] for r in self._robots for move in r.moves)
 
-    # -- operation queries ----------------------------------------------
-
-    def next_op(self, robot: int, op: str, t: int) -> int | None:
-        """First time >= t at which `robot` performs `op`, if any.  A query
-        for LOOK or COMP also matches the LC composite, one for MB an atomic
-        M's begin, and one for ME the implied end of an atomic M."""
-        also = {OP_LOOK: OP_LC, OP_COMP: OP_LC, OP_MB: OP_M, OP_ME: OP_M}.get(op)
-        # start one instant early: an atomic M there ends at t
-        slots = self.slots
-        for k in range(bisect_left(slots, t - 1, key=attrgetter("time")), len(slots)):
-            slot = slots[k]
-            done = slot.ops[robot]
-            when = slot.time + 1 if op == OP_ME and done == OP_M else slot.time
-            if (done == op or done == also) and when >= t:
-                return when
-        return None
-
     # -- cycle start times ----------------------------------------------
 
     @cached_property
-    def _open_at_end(self) -> tuple[bool, bool]:
-        return tuple(r.mid_cycle(self.graph, self.end_time) for r in self._robots)
-
-    def _in_cycle(self, i: int, k: int, t: int) -> bool:
-        """Whether robot i is still in a cycle at t, so that t is no cycle
-        start: its k-th cycle, the last whose Look came before t (k = 0:
-        none), changes its color or position at or after t (see `cs_times`)."""
-        r = self._robots[i]
-        return k > 0 and (t <= r.effective_until[k - 1] or (k == len(r.looks) and self._open_at_end[i]))
+    def _cycle_bounds(self) -> tuple[tuple[list, list], tuple[list, list]]:
+        """Per robot, its Look times and the in-cycle rule over them: with k
+        Looks before t, the robot is still in a cycle at t, so that t is no
+        cycle start, exactly when t <= bounds[k].  bounds[0] is -inf (no
+        cycle yet); bounds[k] is the k-th cycle's last effective instant
+        (see `cs_times`), or +inf for a last cycle still open at the end."""
+        out = []
+        for r in self._robots:
+            bounds = [-inf, *r.effective_until]
+            if len(bounds) > 1 and r.mid_cycle(self.graph, self.end_time):
+                bounds[-1] = inf
+            out.append((r.looks, bounds))
+        return tuple(out)
 
     def is_cs(self, t: int) -> bool:
         """Whether t is a cycle start time (see `cs_times`)."""
-        return not any(self._in_cycle(i, bisect_left(r.looks, t), t) for i, r in enumerate(self._robots))
+        return all(t > bounds[bisect_left(looks, t)] for looks, bounds in self._cycle_bounds)
 
     def cs_times(self) -> list[int]:
         """All cycle start times: instants where both robots' next performed
@@ -299,17 +290,18 @@ class Trace:
         """Per candidate t, in increasing order: robot i's light at t, or None
         where it is still in a cycle.  The Looks and the light writes before t
         are counted by advancing through each history once."""
-        r = self._robots[i]
-        looks, writes = r.looks, r.light_writes
+        looks, bounds = self._cycle_bounds[i]
+        writes = self._robots[i].light_writes
+        n_looks, n_writes = len(looks), len(writes)
         k, j = 0, 1  # the Looks and the writes before t; the initial light is always in
         out = []
         for t in candidates:
-            while k < len(looks) and looks[k] < t:
+            while k < n_looks and looks[k] < t:
                 k += 1
-            if self._in_cycle(i, k, t):
+            if t <= bounds[k]:
                 out.append(None)
                 continue
-            while j < len(writes) and writes[j][0] < t:
+            while j < n_writes and writes[j][0] < t:
                 j += 1
             out.append(writes[j - 1][1])
         return out
@@ -528,16 +520,22 @@ def run(
     slots = list(schedule.prefix)
     # rendezvous: one point, and no robot committed to a displacing move; a
     # robot stands at `pos` unless it is in flight on a displacing move, and
-    # then it is committed
-    if stop_at_rendezvous and r0.pos == r1.pos and not (r0.committed(g, 0) or r1.committed(g, 0)):
+    # then it is committed.  Only an M or MB sets a `pos`, so the positions
+    # are compared after those slots alone; `committed` is asked after every
+    # slot in which they agree, since an ME or a Look may end the commitment
+    met = stop_at_rendezvous and r0.pos == r1.pos
+    if met and not (r0.committed(g, 0) or r1.committed(g, 0)):
         return Trace(g, scheduler, movement, simstate.robots, [], 0)
     step = simstate.step
     for k, slot in enumerate(slots):
         t, ops = slot.time, slot.ops
+        begins = OP_MB in ops
         # per robot, the ME time of an MB in this slot
-        ends = (_move_end(slots, k, 0), _move_end(slots, k, 1)) if OP_MB in ops else _NO_ENDS
+        ends = (_move_end(slots, k, 0), _move_end(slots, k, 1)) if begins else _NO_ENDS
         step(t, ops, slot.fractions, ends)
-        if stop_at_rendezvous and r0.pos == r1.pos and not (r0.committed(g, t + 1) or r1.committed(g, t + 1)):
+        if begins or OP_M in ops:
+            met = stop_at_rendezvous and r0.pos == r1.pos
+        if met and not (r0.committed(g, t + 1) or r1.committed(g, t + 1)):
             return Trace(g, scheduler, movement, simstate.robots, slots[: k + 1], t + 1)
     return Trace(g, scheduler, movement, simstate.robots, slots, None)
 

@@ -68,20 +68,21 @@ class Schedule:
         """Read a schedule file: its `"prefix"` slots, then its `"loop"` block
         (slots at offsets `"dt"` in 1..`"period"`) repeated after the prefix,
         all cut at `horizon`, or at the file's own `"horizon"` if none is given.
-        A key that is missing or that the format lacks is an error naming it."""
+        A key that is missing or that the format lacks is an error naming it,
+        and so is a key present with the wrong JSON type."""
         json_object(data, "a schedule", (), ("prefix", "loop", "horizon"))
-        if horizon is None:
-            horizon = data.get("horizon")
-        if horizon is not None:
-            json_value(horizon, int, "horizon")
-        slots = [_read_slot(e, "t") for e in data.get("prefix", [])]
+        if "horizon" in data:
+            json_value(data["horizon"], int, "horizon")
+            if horizon is None:
+                horizon = data["horizon"]
+        slots = [_read_slot(e, "t") for e in json_value(data.get("prefix", []), list, "prefix")]
         base = _last_time(slots, "prefix times")
-        if data.get("loop"):
+        if "loop" in data:
             loop_data = json_object(data["loop"], "a loop", ("period", "ops"))
             period = json_value(loop_data["period"], int, "period")
             if period < 1:
                 raise ValueError("the loop period must be at least 1")
-            loop = [_read_slot(e, "dt") for e in loop_data["ops"]]
+            loop = [_read_slot(e, "dt") for e in json_value(loop_data["ops"], list, "ops")]
             if _last_time(loop, "loop offsets") > period:
                 raise ValueError("loop offsets exceed the period")
             if horizon is None:
@@ -286,45 +287,6 @@ def check_legal(s: Schedule, cls: SchedulerClass) -> list[Violation]:
         if cls.kind == FSYNC and unequal_rounds:
             problems.append(Violation("round-structure", None, (), "FSYNC requires both robots in every round"))
     return problems
-
-
-def random_lc_atomic_schedule(rng, horizon: int = 64, fractions=None) -> Schedule:
-    """A random legal LC-atomic (not Move-atomic) schedule up to `horizon`.
-
-    Cycles are LC followed by a split MB..ME whose window another robot's
-    Look may legally land inside.  A robot never idles more than a few ticks,
-    so both robots keep cycling.  `fractions` optionally supplies the
-    adversary's move-fraction pool for MB ops.
-    """
-    phase = [IDLE, IDLE]
-    me_due = [0, 0]
-    idle_for = [0, 0]
-    rows = []
-    for t in range(1, horizon + 1):
-        ops = [OP_NONE, OP_NONE]
-        fr: list = [None, None]
-        for robot in ROBOTS:
-            if phase[robot] == MOVING:
-                if me_due[robot] == t:
-                    ops[robot] = OP_ME
-                    phase[robot] = IDLE
-                    idle_for[robot] = 0
-            elif phase[robot] == COMPUTED:
-                ops[robot] = OP_MB
-                if fractions:
-                    fr[robot] = rng.choice(fractions)
-                phase[robot] = MOVING
-                me_due[robot] = t + rng.randint(1, 3)
-            elif t + 4 <= horizon and (rng.random() < 0.5 or idle_for[robot] >= 3):
-                # leave room for the cycle's MB..ME to finish by the horizon
-                ops[robot] = OP_LC
-                phase[robot] = COMPUTED
-                idle_for[robot] = 0
-            else:
-                idle_for[robot] += 1
-        if ops != [OP_NONE, OP_NONE]:
-            rows.append(Slot(t, tuple(ops), tuple(fr)))
-    return Schedule(prefix=tuple(rows))
 
 
 def starved_robot(slots) -> int | None:

@@ -357,26 +357,28 @@ def check_rendezvous(trace: Trace) -> Verdict:
 
 def _sanitize_block(slots: list[Slot]) -> tuple[Slot, ...]:
     """Strip each robot's leading no-effect ops (they precede its first Look
-    and can be normalized out), then drop empty slots and rebase times.
-    Empty when a robot takes no Look: such a block is unfair."""
-    first_look = []
-    for r in ROBOTS:
-        first = next((s.time for s in slots if s.ops[r] in LOOK_OPS), None)
-        if first is None:
-            return ()
-        first_look.append(first)
+    and can be normalized out), then drop empty slots and rebase times, in
+    one pass: the first kept slot holds the earlier first Look.  Empty when
+    a robot takes no Look: such a block is unfair."""
+    first0 = next((s.time for s in slots if s.ops[0] in LOOK_OPS), None)
+    first1 = next((s.time for s in slots if s.ops[1] in LOOK_OPS), None)
+    if first0 is None or first1 is None:
+        return ()
+    shift, late = min(first0, first1) - 1, max(first0, first1)
     cleaned = []
     for s in slots:
-        ops = list(s.ops)
-        fracs = list(s.fractions)
-        for r in ROBOTS:
-            if s.time < first_look[r] and ops[r] != OP_NONE:
-                ops[r] = OP_NONE
-                fracs[r] = None
-        if ops != [OP_NONE, OP_NONE]:
-            cleaned.append(Slot(s.time, tuple(ops), tuple(fracs)))
-    shift = cleaned[0].time - 1
-    return tuple(Slot(s.time - shift, s.ops, s.fractions) for s in cleaned)
+        t, ops, fracs = s.time, s.ops, s.fractions
+        if t < late:
+            if t < first0 and ops[0] != OP_NONE:
+                ops, fracs = (OP_NONE, ops[1]), (None, fracs[1])
+            if t < first1 and ops[1] != OP_NONE:
+                ops, fracs = (ops[0], OP_NONE), (fracs[0], None)
+        if ops != _IDLE_PAIR:
+            cleaned.append(Slot(t - shift, ops, fracs))
+    return tuple(cleaned)
+
+
+_IDLE_PAIR = (OP_NONE, OP_NONE)
 
 
 def detect_scaling_loop(trace: Trace) -> ScalingLoopCertificate | None:
@@ -1127,37 +1129,55 @@ def missing_label_adversary(
     a full-jump edge, so the jump is always answered by a departure.
 
     The adversary is a policy over the lights alone, since an algorithm's
-    next color and label depend only on the color its robot observes.  A
-    round is an LC row for its actors, then an M row for each actor whose
-    label is non-zero: the robots stand apart at every round start, so
-    exactly these move.  The engine is the only simulation: it runs all
-    `horizon` rounds once, stopping at rendezvous, and the trace's executed
-    slots are the returned schedule (empty for robots that start together).
-    `detect_scaling_loop` then looks for a certificate on the trace.
+    next color and label depend only on the color its robot observes.  One
+    table, built per call, gives for each color a robot may observe its next
+    light, whether it moves (label non-zero) and whether it jumps onto the
+    other robot (label 1).  A round is an LC row for its actors, then an M
+    row for each actor that moves: the robots stand apart at every round
+    start, so exactly these move.  Every actor reads the lights before the
+    round's writes.  Each row is one of six constant op pairs, and its slot
+    is built once, at its final time.  The engine is the only simulation:
+    it runs all `horizon` rounds once, stopping at rendezvous, and the
+    trace's executed slots are the returned schedule (empty for robots that
+    start together).  `detect_scaling_loop` then looks for a certificate on
+    the trace.
     """
     if missing not in _REQUIRED:
         raise ValueError(f"missing must be one of the labels 1/2, 1 and 0, not {missing}")
-    # the policy reads the start's edge before the engine could reject it
+    # the policy reads the edges before the engine could reject them
+    validate_graph(g)
     check_lights(g, (start,))
+    table = {c: (e.target, e.lam != 0, e.lam == 1) for c, e in g.edges.items()}
     together, answer_jumps = missing == Fraction(1, 2), missing == 0
-    lights = [start, start]
-    rows: list[tuple[str, str]] = []
+    light0 = light1 = start
+    slots: list[Slot] = []
+    t = 0
     parity = 0
     for _round in range(horizon):
+        # each robot's edge, read from the other's light before any write
+        next0, moves0, jumps0 = table[light1]
+        next1, moves1, jumps1 = table[light0]
         if together:
-            actors: tuple[int, ...] = ROBOTS
+            act0 = act1 = True
+        elif parity == 0:
+            act0, act1 = True, answer_jumps and jumps0
         else:
-            _nl, lam = transition(g, lights[1 - parity])
-            actors = ROBOTS if answer_jumps and lam == 1 else (parity,)
-            parity = 1 - parity
-        # every actor reads the lights before the round's writes
-        edges = {i: transition(g, lights[1 - i]) for i in actors}
-        for i, (light, _lam) in edges.items():
-            lights[i] = light
-        rows.append(tuple(OP_LC if i in edges else OP_NONE for i in ROBOTS))
-        moves = tuple(OP_M if i in edges and edges[i][1] != 0 else OP_NONE for i in ROBOTS)
-        if OP_M in moves:
-            rows.append(moves)
-    schedule = Schedule(prefix=tuple(Slot(t, ops) for t, ops in enumerate(rows, 1)))
-    trace = run(g, schedule, (start, start), distance, SchedulerClass.ssync(), MovementModel.rigid())
+            act0, act1 = answer_jumps and jumps1, True
+        parity = 1 - parity
+        if act0:
+            light0 = next0
+        if act1:
+            light1 = next1
+        t += 1
+        slots.append(Slot(t, _LC_ROWS[act0, act1]))
+        move0, move1 = act0 and moves0, act1 and moves1
+        if move0 or move1:
+            t += 1
+            slots.append(Slot(t, _M_ROWS[move0, move1]))
+    trace = run(g, Schedule(tuple(slots)), (start, start), distance, SchedulerClass.ssync(), MovementModel.rigid())
     return Schedule(prefix=tuple(trace.slots)), trace, detect_scaling_loop(trace)
+
+
+# a round's op pairs, keyed by which robots act (LC) or move (M)
+_LC_ROWS = {(True, False): (OP_LC, OP_NONE), (False, True): (OP_NONE, OP_LC), (True, True): (OP_LC, OP_LC)}
+_M_ROWS = {(True, False): (OP_M, OP_NONE), (False, True): (OP_NONE, OP_M), (True, True): (OP_M, OP_M)}

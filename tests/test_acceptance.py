@@ -15,7 +15,6 @@ from lumirend.schedules import (
     block,
     check_legal,
     mirror,
-    random_lc_atomic_schedule,
     sim,
 )
 from lumirend.verify import (
@@ -30,6 +29,7 @@ from lumirend.verify import (
     structural_check,
     validate_certificate,
 )
+from random_schedules import random_lc_atomic_schedule
 from trace_properties import check_contraction_pattern, check_stationary_partner, check_synchronous_contraction
 
 F = Fraction

@@ -12,8 +12,9 @@ import pytest
 
 from lumirend.algorithms import builtin
 from lumirend.cli import main
-from lumirend.schedules import Schedule, random_lc_atomic_schedule
+from lumirend.schedules import Schedule
 from lumirend.verify import ScalingLoopCertificate, replay_paper_counterexample, validate_certificate
+from random_schedules import random_lc_atomic_schedule
 
 
 def run_cli(capsys, *argv):
@@ -513,6 +514,16 @@ def _cert_with(path, change):
          "the engine rejects the block: robot 0: M at t=3: adversary fraction must lie in [0, 1]"),
         ("schedule", {"prefix": [{"t": 1, "ops": ["LC", "LC"]}, {"t": 2, "ops": ["M", "M"], "fractions": [None, "-1/2"]}]},
          "robot 1: M at t=2: adversary fraction must lie in [0, 1]"),
+        # a present "prefix", "loop", loop "ops" or "horizon" has its JSON type
+        ("schedule", {"prefix": None}, "prefix must be a JSON array, not None"),
+        ("schedule", {"prefix": {}}, "prefix must be a JSON array, not {}"),
+        ("schedule", {"loop": {"period": 2, "ops": None}, "horizon": 4}, "ops must be a JSON array, not None"),
+        ("schedule", {"loop": {}}, "a loop lacks the keys: period, ops"),
+        ("schedule", {"loop": None}, "a loop must be a JSON object, not None"),
+        ("schedule", {"loop": 0}, "a loop must be a JSON object, not 0"),
+        ("schedule", {"loop": False}, "a loop must be a JSON object, not False"),
+        ("schedule", {"loop": []}, "a loop must be a JSON object, not []"),
+        ("schedule", {"horizon": None}, "horizon must be an integer, not None"),
     ],
 )
 def test_malformed_files_are_usage_errors(tmp_path, capsys, kind, content, message):

@@ -13,10 +13,11 @@ from lumirend.schedules import (
     block,
     mirror,
     ROBOTS,
-    random_lc_atomic_schedule,
     sim,
 )
 from lumirend.verify import Inconclusive, Rendezvous, check_rendezvous
+from random_schedules import random_lc_atomic_schedule
+from trace_properties import next_op
 import reference_engine
 
 F = Fraction
@@ -200,15 +201,15 @@ def test_distance_zero_is_absorbing():
 
 def test_next_op():
     tr = run(builtin("ss3"), alt(horizon=8), ("A", "A"), 1, lcmv(), RIGID)
-    assert tr.next_op(0, "LC", 0) == 1
-    assert tr.next_op(1, "LC", 0) == 2
-    assert tr.next_op(0, "LOOK", 2) == 5  # LC counts as a Look
-    assert tr.next_op(0, "COMP", 1) == 1  # ... and as a Compute
-    assert tr.next_op(0, "LC", 9) is None
-    assert tr.next_op(0, "ME", 1) == 4  # implied end of the atomic move at 3
-    assert tr.next_op(0, "ME", 4) == 4
-    assert tr.next_op(0, "MB", 4) == 7  # the atomic move at 7 begins there
-    assert tr.next_op(0, "M", 4) == 7
+    assert next_op(tr, 0, "LC", 0) == 1
+    assert next_op(tr, 1, "LC", 0) == 2
+    assert next_op(tr, 0, "LOOK", 2) == 5  # LC counts as a Look
+    assert next_op(tr, 0, "COMP", 1) == 1  # ... and as a Compute
+    assert next_op(tr, 0, "LC", 9) is None
+    assert next_op(tr, 0, "ME", 1) == 4  # implied end of the atomic move at 3
+    assert next_op(tr, 0, "ME", 4) == 4
+    assert next_op(tr, 0, "MB", 4) == 7  # the atomic move at 7 begins there
+    assert next_op(tr, 0, "M", 4) == 7
 
 
 def test_cs_times_alt():
@@ -560,6 +561,29 @@ def test_rendezvous_cut_matches_the_reference():
                 st.distance_after == 0 and st.time + 1 != when for st in steps
             )
     assert all(met.values()), met
+
+
+@pytest.mark.parametrize("mover", ROBOTS)
+@pytest.mark.parametrize("movement", [RIGID, MovementModel.non_rigid(F(1, 4))])
+def test_a_split_move_onto_the_other_robot_meets_at_its_me(mover, movement):
+    # the mover jumps (label 1) onto the idle robot in a split MB..ME: the
+    # positions agree from the MB on, while the mover is committed, so the
+    # meeting is at the ME slot, which sets no position
+    g = LightGraph.build("AB", {"A": ("B", 1), "B": ("A", 0)})
+    lc = SchedulerClass.asynchronous(lc_atomic=True)
+    for rows in (
+        ((1, "LC"), (2, "MB"), (4, "ME"), (5, "LC")),
+        ((1, "LC"), (2, "MB"), (3, "-"), (5, "ME"), (6, "LC")),
+    ):
+        s = Schedule(tuple(Slot(t, (op, "-") if mover == 0 else ("-", op)) for t, op in rows))
+        tr = run(g, s, ("A", "A"), 1, lc, movement)
+        want = reference_engine._reference_run(g, s, ("A", "A"), 1, lc, movement)
+        me = rows[-2][0]
+        assert tr.rendezvous_time == want.rendezvous_time == me + 1
+        assert tr.to_jsonl() == want.to_jsonl()
+        assert tr.slots[-1].ops[mover] == "ME" and not {"M", "MB"} & set(tr.slots[-1].ops)
+        # in flight the mover is seen short of its landing point
+        assert [st.distance_after == 0 for st in tr.steps] == [False] * (len(rows) - 2) + [True]
 
 
 @pytest.mark.parametrize("movement", [RIGID, MovementModel.non_rigid(F(1, 4))])

@@ -26,10 +26,10 @@ from lumirend.schedules import (
     block,
     check_legal,
     mirror,
-    random_lc_atomic_schedule,
     sim,
     starved_robot,
 )
+from random_schedules import random_lc_atomic_schedule
 import reference_engine
 
 

@@ -28,7 +28,6 @@ from lumirend.schedules import (
     Schedule,
     Slot,
     block,
-    random_lc_atomic_schedule,
     sim,
     starved_robot,
 )
@@ -59,6 +58,7 @@ from lumirend.verify import (
     structural_check,
     validate_certificate,
 )
+from random_schedules import random_lc_atomic_schedule
 from trace_properties import (
     check_contraction_pattern,
     check_stationary_partner,
@@ -138,7 +138,7 @@ def _reference_detect_scaling_loop(trace, dropped=None):
             if not (swap or cj.pair == ci.pair):
                 continue
             raw = [Slot(s.time, s.ops, s.fractions) for s in trace.steps if ti <= s.time < tj]
-            blk = _sanitize_block(raw)
+            blk = _two_pass_sanitize_block(raw)
             if not blk or starved_robot(blk) is not None:
                 continue
             cert = ScalingLoopCertificate(
@@ -150,6 +150,51 @@ def _reference_detect_scaling_loop(trace, dropped=None):
             except CertificateError:
                 continue
     return None
+
+
+def _two_pass_sanitize_block(slots):
+    """`_sanitize_block` as it was before it made one pass: each kept slot
+    built with its leading ops stripped, then built again at its rebased
+    time."""
+    first_look = []
+    for r in ROBOTS:
+        first = next((s.time for s in slots if s.ops[r] in ("LOOK", "LC")), None)
+        if first is None:
+            return ()
+        first_look.append(first)
+    cleaned = []
+    for s in slots:
+        ops = list(s.ops)
+        fracs = list(s.fractions)
+        for r in ROBOTS:
+            if s.time < first_look[r] and ops[r] != "-":
+                ops[r] = "-"
+                fracs[r] = None
+        if ops != ["-", "-"]:
+            cleaned.append(Slot(s.time, tuple(ops), tuple(fracs)))
+    shift = cleaned[0].time - 1
+    return tuple(Slot(s.time - shift, s.ops, s.fractions) for s in cleaned)
+
+
+def test_sanitize_block_matches_the_two_pass_version():
+    rng = random.Random(7)
+    ops = ("LC", "LOOK", "COMP", "M", "MB", "ME", "-", "-", "-")
+    seen = {"leading ops": 0, "empty slot": 0, "robot without a Look": 0, "fraction beside no op": 0}
+    for _ in range(3000):
+        t, slots = 0, []
+        for _k in range(rng.randint(0, 8)):
+            t += rng.randint(1, 3)
+            pair = (rng.choice(ops), rng.choice(ops))
+            slots.append(Slot(t, pair, (rng.choice((None, F(1, 2))), rng.choice((None, F(1))))))
+        want = _two_pass_sanitize_block(slots)
+        assert _sanitize_block(slots) == want, slots
+        looks = [[s.time for s in slots if s.ops[r] in ("LOOK", "LC")] for r in ROBOTS]
+        seen["robot without a Look"] += not all(looks)
+        if all(looks):
+            seen["leading ops"] += any(s.time < looks[r][0] and s.ops[r] != "-" for s in slots for r in ROBOTS)
+        seen["empty slot"] += any(s.ops == ("-", "-") for s in slots)
+        seen["fraction beside no op"] += any(s.ops[0] == "-" and s.fractions[0] for s in slots)
+    assert all(seen.values()), seen
 
 
 def _detection_traces():
@@ -1220,6 +1265,14 @@ def test_missing_label_adversary_matches_the_reference():
     # every policy from every start, whether or not its label is missing
     graphs = list(enumerate_graphs(2, HALVES))
     graphs += random.Random(3).sample(list(enumerate_graphs(3, HALVES)), 4)
+    # labels off the grid: whether a robot moves (label non-zero) or jumps
+    # (label 1) must come from the label itself
+    graphs += [
+        LightGraph.build("AB", {"A": ("B", "-1/2"), "B": ("A", 1)}),
+        LightGraph.build("AB", {"A": ("B", 2), "B": ("B", "1/3")}),
+        LightGraph.build("ABC", {"A": ("B", "1/3"), "B": ("C", 0), "C": ("A", 2)}),
+        LightGraph.build("ABC", {"A": ("B", "-1/2"), "B": ("C", "1/2"), "C": ("A", "1/3")}),
+    ]
     cut = {True: 0, False: 0}  # runs by whether a rendezvous ended them
     for g in graphs:
         for start, missing, horizon, d in product(g.colors, HALVES, (1, 2, 7, 40), (F(1), F(1, 3))):
@@ -1314,8 +1367,6 @@ def test_stationary_pairs_of_builtins():
 def test_stationary_partner_holds_on_qss4_traces():
     import random
 
-    from lumirend.schedules import random_lc_atomic_schedule
-
     for seed in range(8):
         s = random_lc_atomic_schedule(random.Random(seed), horizon=48, fractions=(F(0), F(1)))
         tr = run(builtin("qss4"), s, ("B", "C"), 1, LC, NR4)
@@ -1336,8 +1387,6 @@ def test_stationary_partner_flags_corrupted_trace():
 
 def test_contraction_pattern_qss4():
     import random
-
-    from lumirend.schedules import random_lc_atomic_schedule
 
     for seed in range(8):
         s = random_lc_atomic_schedule(random.Random(100 + seed), horizon=60, fractions=(F(0), F(1)))

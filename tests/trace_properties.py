@@ -1,15 +1,34 @@
 """Trace properties that the tests check on runs of the positive algorithms:
 frozen partners, contraction from the {B, C} pair, and synchronous halving
-rounds.  The library does not use them, so they live beside the tests.
+rounds, with the operation query `next_op` they read.  The library does not
+use them, so they live beside the tests.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from operator import attrgetter
 
 from lumirend.core import NON_RIGID, RIGID, LightGraph, transition
 from lumirend.engine import Trace
-from lumirend.schedules import OP_LC, OP_LOOK
+from lumirend.schedules import OP_COMP, OP_LC, OP_LOOK, OP_M, OP_MB, OP_ME
+
+
+def next_op(trace: Trace, robot: int, op: str, t: int) -> int | None:
+    """First time >= t at which `robot` performs `op` in `trace`, if any.  A
+    query for LOOK or COMP also matches the LC composite, one for MB an
+    atomic M's begin, and one for ME the implied end of an atomic M."""
+    also = {OP_LOOK: OP_LC, OP_COMP: OP_LC, OP_MB: OP_M, OP_ME: OP_M}.get(op)
+    # start one instant early: an atomic M there ends at t
+    slots = trace.slots
+    for k in range(bisect_left(slots, t - 1, key=attrgetter("time")), len(slots)):
+        slot = slots[k]
+        done = slot.ops[robot]
+        when = slot.time + 1 if op == OP_ME and done == OP_M else slot.time
+        if (done == op or done == also) and when >= t:
+            return when
+    return None
 
 
 def stationary_pairs(g: LightGraph) -> set[tuple[str, str]]:
@@ -36,7 +55,7 @@ def check_stationary_partner(trace: Trace) -> list[tuple]:
             pair = (trace.light_at(mover, t), trace.light_at(holder, t))
             if pair not in frozen:
                 continue
-            until = trace.next_op(mover, OP_LOOK, t)
+            until = next_op(trace, mover, OP_LOOK, t)
             if until is None:
                 until = trace.end_time
             for u in range(t, until + 1):
